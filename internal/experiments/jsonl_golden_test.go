@@ -1,0 +1,132 @@
+package experiments
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/invariant"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// jsonlGolden is one pinned event stream: a fixed run recorded through
+// obs.NewJSONL, with the stream's line count and SHA-256.
+type jsonlGolden struct {
+	name  string
+	spec  RunSpec
+	probe bool // register an invariant probe that trips on the first sweep
+	lines int
+	sum   string
+}
+
+// jsonlGoldens pins the JSONL wire format. Together the streams carry
+// every event kind: a nest run with 4 ms gauges, a fault plan and a
+// tripping invariant probe, plus an overload cell and a hedged fan-out
+// cell. Any change to the encoder that moves a byte fails here.
+func jsonlGoldens() []jsonlGolden {
+	return []jsonlGolden{
+		{
+			name: "nest-gauges-faults",
+			spec: RunSpec{
+				Machine: "5218", Scheduler: "nest", Governor: "schedutil",
+				Workload: "dacapo/avrora", Scale: 0.01, Seed: 4,
+				SampleEvery: 4 * sim.Millisecond,
+				Faults:      "off:c2@5ms+10ms,throttle:s0@4ms+15ms=1.8GHz,jitter:@3ms+20ms=1ms,spike:@6ms=12x1ms",
+			},
+			probe: true,
+			lines: 7519,
+			sum:   "78739601a87269bd88b328a285f51a5cac89895f48ddf766979c712744fcc9e1",
+		},
+		{
+			name: "overload-codel",
+			spec: RunSpec{
+				Machine: "6130-2", Scheduler: "cfs", Governor: "schedutil",
+				Workload: workload.OverloadMixName(1.5, "codel"), Scale: 0.05, Seed: 7,
+			},
+			lines: 6997,
+			sum:   "022da4f823f0de2cbb81ac75400ba9f169901add55207028a78ed9e51d44d065",
+		},
+		{
+			name: "fanout-hedged",
+			spec: RunSpec{
+				Machine: "6130-2", Scheduler: "nest", Governor: "schedutil",
+				Workload: workload.FanoutMixName(16, 1.2, "p95"), Scale: 0.02, Seed: 3,
+			},
+			lines: 15749,
+			sum:   "e71c7d869619f83e6b7cf388f246b6f356e0f35b46974eb2012449268009e329",
+		},
+	}
+}
+
+// allKinds is every event kind with a JSONL wire form.
+var allKinds = []string{
+	"run", "placement", "migration", "nest_expand", "nest_compact",
+	"impatience", "freq_grant", "governor_request", "fault",
+	"invariant_violation", "tick_balance", "overload", "fanout",
+	"core_gauge", "nest_gauge", "socket_gauge", "run_summary",
+}
+
+// recordJSONL runs g's cell with a JSONL recorder attached and returns
+// the stream.
+func recordJSONL(t *testing.T, g jsonlGolden) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := obs.NewJSONL(&buf)
+	rs := g.spec
+	rs.Obs = obs.New(rec)
+	if g.probe {
+		chk := invariant.New()
+		rs.Check = chk
+		fired := false
+		rs.onStart = func(*cpu.Machine) {
+			chk.RegisterProbe("golden_probe", func() string {
+				if fired {
+					return ""
+				}
+				fired = true
+				return `pinned <probe> & "quoted" \ tab	é`
+			})
+		}
+	}
+	if _, err := Run(rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestJSONLGoldenStreams pins the byte-exact JSONL stream of fixed runs
+// and requires the runs, between them, to emit every decodable kind.
+func TestJSONLGoldenStreams(t *testing.T) {
+	kinds := map[string]bool{}
+	for _, g := range jsonlGoldens() {
+		b := recordJSONL(t, g)
+		lines := bytes.Count(b, []byte("\n"))
+		sum := sha256.Sum256(b)
+		got := hex.EncodeToString(sum[:])
+		if lines != g.lines || got != g.sum {
+			t.Errorf("%s: stream is %d lines, sha256 %s; pinned %d lines, sha256 %s",
+				g.name, lines, got, g.lines, g.sum)
+		}
+		if _, err := obs.DecodeStream(bytes.NewReader(b), func(ev obs.Event) {
+			kinds[ev.Kind()] = true
+		}); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+	}
+	var missing []string
+	for _, k := range allKinds {
+		if !kinds[k] {
+			missing = append(missing, k)
+		}
+	}
+	if len(missing) > 0 {
+		t.Fatalf("golden streams never emit %v", missing)
+	}
+}
