@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"strconv"
+
 	"repro/internal/sim"
 )
 
@@ -29,6 +31,15 @@ func (CoreGauge) Kind() string { return "core_gauge" }
 
 func (CoreGauge) count(c *Counters) { c.Add("gauge.core", 1) }
 
+func (e CoreGauge) appendJSON(b []byte) ([]byte, error) {
+	b = appendInt(append(b, `{"ev":"core_gauge"`...), `,"t_ns":`, int64(e.T))
+	b = appendInt(b, `,"core":`, int64(e.Core))
+	b = appendString(b, `,"state":`, e.State)
+	b = appendInt(b, `,"freq_mhz":`, int64(e.FreqMHz))
+	b = appendInt(b, `,"queue":`, int64(e.Queue))
+	return closeLine(b), nil
+}
+
 // NestGauge is the nest's primary and reserve size at a sample instant.
 // Emitted only when the active scheduler maintains a nest.
 type NestGauge struct {
@@ -41,6 +52,13 @@ type NestGauge struct {
 func (NestGauge) Kind() string { return "nest_gauge" }
 
 func (NestGauge) count(c *Counters) { c.Add("gauge.nest", 1) }
+
+func (e NestGauge) appendJSON(b []byte) ([]byte, error) {
+	b = appendInt(append(b, `{"ev":"nest_gauge"`...), `,"t_ns":`, int64(e.T))
+	b = appendInt(b, `,"primary":`, int64(e.Primary))
+	b = appendInt(b, `,"reserve":`, int64(e.Reserve))
+	return closeLine(b), nil
+}
 
 // SocketGauge is one socket's occupancy at a sample instant: how many of
 // its online cores are busy. The busy share is Busy/Online.
@@ -55,6 +73,14 @@ type SocketGauge struct {
 func (SocketGauge) Kind() string { return "socket_gauge" }
 
 func (SocketGauge) count(c *Counters) { c.Add("gauge.socket", 1) }
+
+func (e SocketGauge) appendJSON(b []byte) ([]byte, error) {
+	b = appendInt(append(b, `{"ev":"socket_gauge"`...), `,"t_ns":`, int64(e.T))
+	b = appendInt(b, `,"socket":`, int64(e.Socket))
+	b = appendInt(b, `,"busy":`, int64(e.Busy))
+	b = appendInt(b, `,"online":`, int64(e.Online))
+	return closeLine(b), nil
+}
 
 // RunSummary closes one run's event stream with its headline results, so
 // offline tooling (cmd/nestobs diff) can compare runs without the full
@@ -79,3 +105,22 @@ type RunSummary struct {
 func (RunSummary) Kind() string { return "run_summary" }
 
 func (RunSummary) count(c *Counters) { c.Add("summaries", 1) }
+
+func (e RunSummary) appendJSON(b []byte) ([]byte, error) {
+	b = appendString(append(b, `{"ev":"run_summary"`...), `,"machine":`, e.Machine)
+	b = appendString(b, `,"sched":`, e.Scheduler)
+	b = appendString(b, `,"gov":`, e.Governor)
+	b = appendString(b, `,"workload":`, e.Workload)
+	b = strconv.AppendUint(append(b, `,"seed":`...), e.Seed, 10)
+	b = appendInt(b, `,"runtime_ns":`, e.RuntimeNS)
+	b, err := appendFloat(b, `,"energy_j":`, e.EnergyJ)
+	if err != nil {
+		return b, err
+	}
+	b = appendInt(b, `,"wake_p50_ns":`, e.WakeP50)
+	b = appendInt(b, `,"wake_p95_ns":`, e.WakeP95)
+	b = appendInt(b, `,"wake_p99_ns":`, e.WakeP99)
+	b = appendInt(b, `,"wake_p999_ns":`, e.WakeP999)
+	b = appendInt(b, `,"wakeups":`, e.Wakeups)
+	return closeLine(b), nil
+}

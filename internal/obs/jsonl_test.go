@@ -1,0 +1,211 @@
+package obs
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// marshalOracle is the reflection encoder JSONLRecorder used before the
+// appendJSON methods: json.Marshal of the event struct with the kind
+// spliced in as the first field. FuzzJSONLEncode holds appendJSON to it
+// byte for byte.
+func marshalOracle(ev Event) ([]byte, error) {
+	b, err := json.Marshal(ev)
+	if err != nil {
+		return nil, err
+	}
+	kb, err := json.Marshal(ev.Kind())
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(`{"ev":`), kb...)
+	if len(b) > 2 {
+		out = append(out, ',')
+		out = append(out, b[1:len(b)-1]...)
+	}
+	return append(out, "}\n"...), nil
+}
+
+// Values the fuzz source picks from: the inputs where a hand-written
+// encoder is most likely to part ways with encoding/json.
+var (
+	fuzzStrings = []string{
+		"", "nest", "idle_timeout", "a&b", "x<y", "p>q", `"quoted"`, `back\slash`,
+		"tab\tnl\ncr\rbs\bff\f", "\x00\x01\x1f\x7f", "line\u2028sep\u2029",
+		"bad \xff\xfe utf8", "caf\u00e9 \u65e5\u672c", "\ufffd", "/slash/",
+	}
+	fuzzFloats = []float64{
+		0, math.Copysign(0, -1), 0.5, -1.25, 12.5, 1e-6, -1e-6, 9.99e-7,
+		1e-7, 1.5e-10, 5e-324, 1e20, 1e21, -1e21, 123456789.125,
+		math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	fuzzInts = []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64, math.MaxInt32 + 1}
+)
+
+// fuzzSource decodes fuzz bytes into field values. An exhausted source
+// yields zero values, so short inputs exercise omitempty.
+type fuzzSource struct{ data []byte }
+
+func (s *fuzzSource) next() byte {
+	if len(s.data) == 0 {
+		return 0
+	}
+	c := s.data[0]
+	s.data = s.data[1:]
+	return c
+}
+
+func (s *fuzzSource) raw64() uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(s.next())
+	}
+	return v
+}
+
+func (s *fuzzSource) str() string {
+	sel := s.next()
+	if sel%2 == 0 {
+		return fuzzStrings[int(sel/2)%len(fuzzStrings)]
+	}
+	n := int(s.next() % 24)
+	if n > len(s.data) {
+		n = len(s.data)
+	}
+	out := string(s.data[:n])
+	s.data = s.data[n:]
+	return out
+}
+
+func (s *fuzzSource) float() float64 {
+	sel := s.next()
+	if sel%2 == 0 {
+		return fuzzFloats[int(sel/2)%len(fuzzFloats)]
+	}
+	return math.Float64frombits(s.raw64())
+}
+
+func (s *fuzzSource) int() int64 {
+	sel := s.next()
+	if sel%2 == 0 {
+		return fuzzInts[int(sel/2)%len(fuzzInts)]
+	}
+	return int64(s.raw64())
+}
+
+// fill returns a value of ev's concrete type with every field drawn from
+// s. A field kind it does not know fails the test, so a new event type
+// cannot slip past the fuzzer with fields it never varies.
+func fill(t *testing.T, ev Event, s *fuzzSource) Event {
+	v := reflect.New(reflect.TypeOf(ev)).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(s.str())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(s.int())
+		case reflect.Uint64:
+			f.SetUint(s.raw64())
+		case reflect.Float64:
+			f.SetFloat(s.float())
+		case reflect.Bool:
+			f.SetBool(s.next()%2 == 1)
+		default:
+			t.Fatalf("%T.%s: field kind %s has no fuzz source", ev, v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return v.Interface().(Event)
+}
+
+// FuzzJSONLEncode decodes the fuzz input into field values for every
+// event kind and requires appendJSON to write exactly what the
+// encoding/json oracle writes, or to fail where it fails (NaN, ±Inf).
+func FuzzJSONLEncode(f *testing.F) {
+	f.Add([]byte{})
+	// A run of one even byte 2i picks entry i of every value table for
+	// every field, so the seeds alone walk each table entry.
+	for i := 0; i < len(fuzzFloats); i++ {
+		f.Add(bytes.Repeat([]byte{byte(2 * i)}, 256))
+	}
+	f.Add(bytes.Repeat([]byte{0x11, 0x08, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 32))
+	f.Add([]byte("\x01\x10<a href=\"x\">&amp;\xff\x0a\x24\x26\x22"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &fuzzSource{data: data}
+		for _, proto := range allEventKinds() {
+			ev := fill(t, proto, s)
+			want, werr := marshalOracle(ev)
+			got, gerr := ev.appendJSON([]byte("prefix"))
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%#v: oracle error %v, appendJSON error %v", ev, werr, gerr)
+			}
+			if werr != nil {
+				if werr.Error() != gerr.Error() {
+					t.Fatalf("%#v: oracle error %q, appendJSON error %q", ev, werr, gerr)
+				}
+				continue
+			}
+			if !bytes.HasPrefix(got, []byte("prefix")) {
+				t.Fatalf("%#v: appendJSON clobbered its prefix: %q", ev, got)
+			}
+			if got = got[len("prefix"):]; !bytes.Equal(got, want) {
+				t.Fatalf("%#v:\nappendJSON %s\noracle     %s", ev, got, want)
+			}
+		}
+	})
+}
+
+// TestJSONLStickyFloatError checks that an unencodable float fails the
+// recorder without writing any part of its line, and that the error
+// sticks: later events are dropped and Flush reports it.
+func TestJSONLStickyFloatError(t *testing.T) {
+	for _, bad := range []Event{
+		RunInfo{Machine: "m", Scale: math.NaN()},
+		GovernorRequest{Governor: "schedutil", Util: math.Inf(1)},
+		RunSummary{Machine: "m", EnergyJ: math.Inf(-1)},
+	} {
+		var buf strings.Builder
+		r := NewJSONL(&buf)
+		r.Record(NestGauge{T: 1, Primary: 2, Reserve: 3})
+		r.Record(bad)
+		r.Record(NestGauge{T: 2, Primary: 2, Reserve: 3})
+		err := r.Flush()
+		if _, ok := err.(*json.UnsupportedValueError); !ok {
+			t.Fatalf("%T: Flush error %v, want *json.UnsupportedValueError", bad, err)
+		}
+		if want := "{\"ev\":\"nest_gauge\",\"t_ns\":1,\"primary\":2,\"reserve\":3}\n"; buf.String() != want {
+			t.Fatalf("%T: wrote %q, want only the line before the failure %q", bad, buf.String(), want)
+		}
+		if r.Lines() != 1 {
+			t.Fatalf("%T: Lines() = %d, want 1", bad, r.Lines())
+		}
+	}
+}
+
+// TestJSONLRecordAllocFree requires Record of an already-boxed event to
+// allocate nothing. Each run records enough lines to cross several
+// buffer flushes, so an allocation at a buffer boundary cannot hide in
+// the per-run average.
+func TestJSONLRecordAllocFree(t *testing.T) {
+	r := NewJSONL(io.Discard)
+	var ev Event = CoreGauge{T: 4 * sim.Millisecond, Core: 17, State: "busy", FreqMHz: 3900, Queue: 2}
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 1000; i++ {
+			r.Record(ev)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("1000 Records allocate %v times, want 0", allocs)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -54,30 +56,71 @@ func TestHubCountsAndSnapshots(t *testing.T) {
 	}
 }
 
-// TestCountersConcurrent exercises the registry from many goroutines;
-// run with -race to check the locking.
+// TestCountersConcurrent registers new names from several
+// goroutines while they also bump, read and snapshot shared ones; run
+// under -race it proves the copy-on-write publish safe. Every total must
+// come out exact, a goroutine must see its own registrations at once,
+// and Names must end sorted and complete.
 func TestCountersConcurrent(t *testing.T) {
+	const workers, perWorker = 8, 200
+	shared := []string{"s.a", "s.b", "s.c", "s.d"}
 	cs := NewCounters()
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			names := []string{"a.b", "c.d", "e.f"}
-			for i := 0; i < 1000; i++ {
-				cs.Add(names[i%len(names)], 1)
-				if i%100 == 0 {
-					cs.Snapshot()
-					cs.Names()
+			for i := 0; i < perWorker; i++ {
+				own := fmt.Sprintf("w%d.n%03d", g, i)
+				cs.Add(own, int64(i+1))
+				cs.Add(shared[i%len(shared)], 1)
+				cs.Handle(shared[(i+1)%len(shared)]).Add(1)
+				if v := cs.Value(own); v != int64(i+1) {
+					errs <- fmt.Errorf("%s = %d right after registering it, want %d", own, v, i+1)
+					return
+				}
+				if i%16 == 0 {
+					if snap := cs.Snapshot(); snap[own] != int64(i+1) {
+						errs <- fmt.Errorf("snapshot misses %s (got %d)", own, snap[own])
+						return
+					}
+					if names := cs.Names(); !sort.StringsAreSorted(names) {
+						errs <- fmt.Errorf("Names() not sorted mid-run")
+						return
+					}
 				}
 			}
-			cs.Handle("a.b").Add(1)
 		}(g)
 	}
 	wg.Wait()
-	total := cs.Value("a.b") + cs.Value("c.d") + cs.Value("e.f")
-	if total != 8*1000+8 {
-		t.Fatalf("total = %d", total)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	want := append([]string(nil), shared...)
+	for _, name := range shared {
+		if v, w := cs.Value(name), int64(workers*perWorker*2/len(shared)); v != w {
+			t.Errorf("%s = %d, want %d", name, v, w)
+		}
+	}
+	for g := 0; g < workers; g++ {
+		for i := 0; i < perWorker; i++ {
+			name := fmt.Sprintf("w%d.n%03d", g, i)
+			want = append(want, name)
+			if v := cs.Value(name); v != int64(i+1) {
+				t.Errorf("%s = %d, want %d", name, v, i+1)
+			}
+		}
+	}
+	sort.Strings(want)
+	names := cs.Names()
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("Names() has %d names, want the %d registered, sorted", len(names), len(want))
+	}
+	if snap := cs.Snapshot(); len(snap) != len(want) {
+		t.Fatalf("Snapshot() has %d counters, want %d", len(snap), len(want))
 	}
 }
 
