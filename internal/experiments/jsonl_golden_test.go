@@ -38,8 +38,8 @@ func jsonlGoldens() []jsonlGolden {
 				Faults:      "off:c2@5ms+10ms,throttle:s0@4ms+15ms=1.8GHz,jitter:@3ms+20ms=1ms,spike:@6ms=12x1ms",
 			},
 			probe: true,
-			lines: 7519,
-			sum:   "78739601a87269bd88b328a285f51a5cac89895f48ddf766979c712744fcc9e1",
+			lines: 7584,
+			sum:   "6903d37137479187c44c9369f49c9d9e0a54ee7bc2690ae9c3931f92e18e373d",
 		},
 		{
 			name: "overload-codel",
@@ -67,7 +67,8 @@ var allKinds = []string{
 	"run", "placement", "migration", "nest_expand", "nest_compact",
 	"impatience", "freq_grant", "governor_request", "fault",
 	"invariant_violation", "tick_balance", "overload", "fanout",
-	"core_gauge", "nest_gauge", "socket_gauge", "run_summary",
+	"core_gauge", "nest_gauge", "socket_gauge", "underload_gauge",
+	"run_summary",
 }
 
 // recordJSONL runs g's cell with a JSONL recorder attached and returns

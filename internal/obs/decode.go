@@ -39,6 +39,7 @@ var decodable = map[string]func([]byte) (Event, error){
 	"core_gauge":          dec[CoreGauge],
 	"nest_gauge":          dec[NestGauge],
 	"socket_gauge":        dec[SocketGauge],
+	"underload_gauge":     dec[UnderloadGauge],
 	"run_summary":         dec[RunSummary],
 }
 

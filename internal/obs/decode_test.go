@@ -26,6 +26,7 @@ func allEventKinds() []Event {
 		CoreGauge{T: 13 * sim.Millisecond, Core: 3, State: "busy", FreqMHz: 3700, Queue: 2},
 		NestGauge{T: 13 * sim.Millisecond, Primary: 4, Reserve: 2},
 		SocketGauge{T: 13 * sim.Millisecond, Socket: 0, Busy: 5, Online: 16},
+		UnderloadGauge{T: 13 * sim.Millisecond, Underload: 3},
 		RunSummary{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "w", Seed: 1,
 			RuntimeNS: int64(2 * sim.Second), EnergyJ: 12.5, WakeP50: 1000, WakeP95: 5000, WakeP99: 9000, WakeP999: 20000, Wakeups: 123},
 	}
@@ -71,6 +72,24 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 	if first.String() != second.String() {
 		t.Fatalf("re-encode differs:\n%s\nvs\n%s", first.String(), second.String())
+	}
+}
+
+// TestAllEventKindsCoversDecodable fails when a decodable wire kind is
+// missing from allEventKinds: the round trip above and FuzzJSONLEncode
+// iterate that list, so an unlisted kind would skip both silently.
+func TestAllEventKindsCoversDecodable(t *testing.T) {
+	listed := map[string]bool{}
+	for _, ev := range allEventKinds() {
+		listed[ev.Kind()] = true
+	}
+	for kind := range decodable {
+		if !listed[kind] {
+			t.Errorf("decodable kind %q is missing from allEventKinds", kind)
+		}
+	}
+	if len(listed) != len(decodable) {
+		t.Errorf("allEventKinds lists %d kinds, decodable has %d", len(listed), len(decodable))
 	}
 }
 

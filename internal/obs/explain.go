@@ -75,6 +75,8 @@ func (x *Explain) Record(ev Event) {
 		x.stamp(e.T)
 	case SocketGauge:
 		x.stamp(e.T)
+	case UnderloadGauge:
+		x.stamp(e.T)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // The periodic sampler (internal/cpu, Config.SampleEvery) emits one
 // batch of gauges per sample instant: a CoreGauge per online core in
 // ascending core order, one NestGauge when the scheduler exposes nest
-// sizes, and a SocketGauge per socket in ascending socket order. The
-// batches ride the ordinary event stream, so -events files interleave
-// them with decisions and a -series file can carry them alone.
+// sizes, a SocketGauge per socket in ascending socket order, and one
+// UnderloadGauge. The batches ride the ordinary event stream, so
+// -events files interleave them with decisions and a -series file can
+// carry them alone.
 
 // CoreGauge is one core's state at a sample instant: what it is doing
 // ("busy", "spin", "idle", "offline"), its current frequency, and its
@@ -79,6 +80,27 @@ func (e SocketGauge) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(b, `,"socket":`, int64(e.Socket))
 	b = appendInt(b, `,"busy":`, int64(e.Busy))
 	b = appendInt(b, `,"online":`, int64(e.Online))
+	return closeLine(b), nil
+}
+
+// UnderloadGauge is the §5.2 underload of the tick interval that closed
+// at T: cores used during the interval minus the most tasks runnable at
+// once, floored at zero. It is the last gauge of each batch. With
+// SampleEvery longer than one tick it carries only the last interval
+// before the sample, not the intervals in between.
+type UnderloadGauge struct {
+	T         sim.Time `json:"t_ns"`
+	Underload int      `json:"underload"`
+}
+
+// Kind implements Event.
+func (UnderloadGauge) Kind() string { return "underload_gauge" }
+
+func (UnderloadGauge) count(c *Counters) { c.Add("gauge.underload", 1) }
+
+func (e UnderloadGauge) appendJSON(b []byte) ([]byte, error) {
+	b = appendInt(append(b, `{"ev":"underload_gauge"`...), `,"t_ns":`, int64(e.T))
+	b = appendInt(b, `,"underload":`, int64(e.Underload))
 	return closeLine(b), nil
 }
 

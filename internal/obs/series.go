@@ -7,12 +7,13 @@ import (
 // SeriesBuffer is a compact in-memory recorder for the periodic gauge
 // stream: gauge events land in typed slices (no per-event boxing beyond
 // the slice cells), everything else is ignored. It preserves emission
-// order across the three gauge kinds so WriteJSONL reproduces the exact
+// order across the gauge kinds so WriteJSONL reproduces the exact
 // stream a JSONLRecorder would have written for the same run.
 type SeriesBuffer struct {
-	Cores   []CoreGauge
-	Nests   []NestGauge
-	Sockets []SocketGauge
+	Cores      []CoreGauge
+	Nests      []NestGauge
+	Sockets    []SocketGauge
+	Underloads []UnderloadGauge
 
 	order []seriesRef
 }
@@ -28,6 +29,7 @@ const (
 	seriesCore seriesKind = iota
 	seriesNest
 	seriesSocket
+	seriesUnderload
 )
 
 // Record implements Recorder, keeping gauge events and dropping the rest.
@@ -42,6 +44,9 @@ func (b *SeriesBuffer) Record(ev Event) {
 	case SocketGauge:
 		b.order = append(b.order, seriesRef{seriesSocket, int32(len(b.Sockets))})
 		b.Sockets = append(b.Sockets, e)
+	case UnderloadGauge:
+		b.order = append(b.order, seriesRef{seriesUnderload, int32(len(b.Underloads))})
+		b.Underloads = append(b.Underloads, e)
 	}
 }
 
@@ -58,6 +63,8 @@ func (b *SeriesBuffer) Each(fn func(ev Event)) {
 			fn(b.Nests[r.idx])
 		case seriesSocket:
 			fn(b.Sockets[r.idx])
+		case seriesUnderload:
+			fn(b.Underloads[r.idx])
 		}
 	}
 }
