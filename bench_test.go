@@ -12,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -114,10 +115,11 @@ func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cores := map[string]int{}
 		for _, sched := range []string{"cfs", "nest"} {
-			tr := metrics.NewTrace(0, 300*sim.Millisecond)
+			tr := obs.NewTrace(0, 300*sim.Millisecond)
 			_, err := experiments.Run(experiments.RunSpec{
 				Machine: "5218", Scheduler: sched, Governor: "schedutil",
-				Workload: "configure/llvm_ninja", Scale: 0.1, Seed: uint64(i + 1), Trace: tr,
+				Workload: "configure/llvm_ninja", Scale: 0.1, Seed: uint64(i + 1),
+				Obs: obs.New(tr), SampleEvery: sim.Tick,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -204,10 +206,11 @@ func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cores := map[string]int{}
 		for _, sched := range []string{"cfs", "nest"} {
-			tr := metrics.NewTrace(0, sim.Second)
+			tr := obs.NewTrace(0, sim.Second)
 			_, err := experiments.Run(experiments.RunSpec{
 				Machine: "6130-4", Scheduler: sched, Governor: "schedutil",
-				Workload: "dacapo/h2", Scale: benchScale, Seed: uint64(i + 1), Trace: tr,
+				Workload: "dacapo/h2", Scale: benchScale, Seed: uint64(i + 1),
+				Obs: obs.New(tr), SampleEvery: sim.Tick,
 			})
 			if err != nil {
 				b.Fatal(err)

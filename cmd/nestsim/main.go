@@ -384,8 +384,8 @@ func runTraced(rs experiments.RunSpec, ms int) error {
 	if err != nil {
 		return err
 	}
-	tr := metrics.NewTrace(0, sim.Time(ms)*sim.Millisecond)
-	rs.Trace = tr
+	tr := obs.NewTrace(0, sim.Time(ms)*sim.Millisecond)
+	rs.Obs, rs.SampleEvery = obs.New(tr), sim.Tick
 	res, err := experiments.Run(rs)
 	if err != nil {
 		return err

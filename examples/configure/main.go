@@ -10,6 +10,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/textplot"
 )
@@ -19,10 +20,11 @@ func main() {
 	edges := metrics.EdgesFor(spec)
 
 	for _, sched := range []string{"cfs", "nest"} {
-		tr := metrics.NewTrace(0, 300*sim.Millisecond)
+		tr := obs.NewTrace(0, 300*sim.Millisecond)
 		res, err := experiments.Run(experiments.RunSpec{
 			Machine: "5218", Scheduler: sched, Governor: "schedutil",
-			Workload: "configure/llvm_ninja", Scale: 0.1, Seed: 1, Trace: tr,
+			Workload: "configure/llvm_ninja", Scale: 0.1, Seed: 1,
+			Obs: obs.New(tr), SampleEvery: sim.Tick,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -10,15 +10,17 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
-func trace(sched string, seed uint64) (*metrics.Trace, *metrics.Result, error) {
-	tr := metrics.NewTrace(0, sim.Second)
+func trace(sched string, seed uint64) (*obs.Trace, *metrics.Result, error) {
+	tr := obs.NewTrace(0, sim.Second)
 	res, err := experiments.Run(experiments.RunSpec{
 		Machine: "6130-4", Scheduler: sched, Governor: "schedutil",
-		Workload: "dacapo/h2", Scale: 0.04, Seed: seed, Trace: tr,
+		Workload: "dacapo/h2", Scale: 0.04, Seed: seed,
+		Obs: obs.New(tr), SampleEvery: sim.Tick,
 	})
 	return tr, res, err
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/proc"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -278,8 +279,9 @@ func TestFreqHistogramCoversRuntime(t *testing.T) {
 
 func TestTraceCapturesActivity(t *testing.T) {
 	spec := machine.IntelXeon6130(2)
-	tr := metrics.NewTrace(0, sim.Second)
-	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Trace: tr})
+	tr := obs.NewTrace(0, sim.Second)
+	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1,
+		Obs: obs.New(tr), SampleEvery: sim.Tick})
 	m.Spawn("w", computeFor(spec, 50*sim.Millisecond))
 	m.Run(5 * sim.Second)
 	if len(tr.Points) == 0 {
@@ -322,24 +324,6 @@ func TestWakeLatencyRecorded(t *testing.T) {
 	if res.WakeLatency.Percentile(99) > sim.Millisecond {
 		t.Fatalf("p99 wake latency %v implausibly high on an idle machine", res.WakeLatency.Percentile(99))
 	}
-}
-
-func TestTimeSeriesSampling(t *testing.T) {
-	spec := machine.IntelXeon6130(2)
-	ser := metrics.NewTimeSeries(1)
-	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Series: ser})
-	m.Spawn("w", computeFor(spec, 50*sim.Millisecond))
-	res := m.Run(sim.Second)
-	if len(ser.Samples) == 0 {
-		t.Fatal("no samples collected")
-	}
-	if ser.MaxRunnable() < 1 {
-		t.Fatal("runnable never observed")
-	}
-	if ser.MeanPower() <= 0 {
-		t.Fatal("power never sampled")
-	}
-	_ = res
 }
 
 func TestTimelineRecording(t *testing.T) {

@@ -41,12 +41,14 @@ func DecodeResult(raw json.RawMessage) (*metrics.Result, error) {
 // (Stats, invariant-violation counts), not just side channels.
 //
 // ok is false for cells without a stable identity: an explicit machine
-// Spec (no canonical name), or attached Trace/Series/Timeline streams
-// (their output goes elsewhere, so replaying the Result alone would
-// silently skip the side effects the caller asked for). Such cells
-// always run.
+// Spec (no canonical name), or an attached Timeline (its output goes
+// elsewhere, so replaying the Result alone would silently skip the side
+// effect the caller asked for). Such cells always run. An obs hub is
+// part of the identity but its recorders are not: a replayed cell
+// delivers the Result alone, so a caller that needs a hub's stream (a
+// JSONL file, an obs.Trace) runs the cell without a journal.
 func CellKey(rs RunSpec) (string, bool) {
-	if rs.Spec != nil || rs.Trace != nil || rs.Series != nil || rs.Timeline != nil {
+	if rs.Spec != nil || rs.Timeline != nil {
 		return "", false
 	}
 	plan, err := fault.Parse(rs.Faults)

@@ -6,17 +6,19 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/textplot"
 	"repro/internal/workload"
 )
 
 // traceRun executes one traced run and returns the trace and result.
-func traceRun(machineName string, cfg config, wl string, opt Options, window sim.Time) (*metrics.Trace, *metrics.Result, error) {
-	tr := metrics.NewTrace(0, window)
+func traceRun(machineName string, cfg config, wl string, opt Options, window sim.Time) (*obs.Trace, *metrics.Result, error) {
+	tr := obs.NewTrace(0, window)
 	rs := RunSpec{
 		Machine: machineName, Scheduler: cfg.sched, Governor: cfg.gov,
-		Workload: wl, Scale: opt.Scale, Seed: opt.Seed, Trace: tr,
+		Workload: wl, Scale: opt.Scale, Seed: opt.Seed,
+		Obs: obs.New(tr), SampleEvery: sim.Tick,
 	}
 	res, err := Run(rs)
 	if err != nil {

@@ -41,8 +41,8 @@ type PoolOptions struct {
 	CellTimeout time.Duration
 	// Journal, when non-nil, durably records each completed cell's
 	// encoded result (checkpoint journal). Cells without a stable
-	// identity (explicit Spec, attached Trace/Series/Timeline) are run
-	// but not journaled.
+	// identity (explicit Spec, attached Timeline) are run but not
+	// journaled.
 	Journal *checkpoint.Journal
 	// Done maps cell keys (CellKey) to previously journaled results;
 	// matching cells are skipped and their results decoded instead of
@@ -413,7 +413,7 @@ func RepeatSpecs(rs RunSpec, n int) []RunSpec {
 		r := rs
 		r.Seed = rs.Seed + uint64(i)
 		if i > 0 {
-			r.Trace, r.Series, r.Timeline, r.Obs, r.Check = nil, nil, nil, nil, nil
+			r.Timeline, r.Obs, r.Check = nil, nil, nil
 			r.SampleEvery = 0
 		}
 		specs[i] = r

@@ -159,52 +159,6 @@ func TestSpeedupProperty(t *testing.T) {
 	}
 }
 
-func TestTraceWindow(t *testing.T) {
-	tr := NewTrace(100*sim.Millisecond, 200*sim.Millisecond)
-	tr.AddPoint(50*sim.Millisecond, 1, 2000)  // before window
-	tr.AddPoint(150*sim.Millisecond, 3, 3000) // inside
-	tr.AddPoint(250*sim.Millisecond, 5, 2500) // after
-	if len(tr.Points) != 1 {
-		t.Fatalf("points = %d, want 1", len(tr.Points))
-	}
-	p := tr.Points[0]
-	if p.Core != 3 || p.Freq != 3000 {
-		t.Fatalf("point = %+v", p)
-	}
-	if p.Tick != int32(50*sim.Millisecond/sim.Tick) {
-		t.Fatalf("tick = %d", p.Tick)
-	}
-	if tr.Ticks() != 25 {
-		t.Fatalf("Ticks = %d, want 25", tr.Ticks())
-	}
-}
-
-func TestTraceNilSafe(t *testing.T) {
-	var tr *Trace
-	tr.AddPoint(0, 0, 1000)
-	tr.AddUnderload(0, 1)
-	if tr.Active(0) || tr.CoresUsed() != nil || tr.Ticks() != 0 {
-		t.Fatal("nil trace not inert")
-	}
-}
-
-func TestTraceCoresUsedSorted(t *testing.T) {
-	tr := NewTrace(0, sim.Second)
-	for _, c := range []machine.CoreID{9, 3, 9, 1, 3} {
-		tr.AddPoint(sim.Millisecond, c, 2000)
-	}
-	got := tr.CoresUsed()
-	want := []machine.CoreID{1, 3, 9}
-	if len(got) != len(want) {
-		t.Fatalf("cores = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cores = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestResultCustom(t *testing.T) {
 	var r Result
 	r.SetCustom("ops", 123)

@@ -45,8 +45,9 @@ type Event interface {
 }
 
 // Recorder receives every emitted event. Implementations in this package:
-// JSONLRecorder, Explain, TimelineRecorder. Recorders run synchronously
-// inside the simulation loop and need not be concurrency-safe.
+// JSONLRecorder, Explain, TimelineRecorder, SeriesBuffer, Trace.
+// Recorders run synchronously inside the simulation loop and need not be
+// concurrency-safe.
 type Recorder interface {
 	Record(ev Event)
 }

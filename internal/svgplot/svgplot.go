@@ -10,7 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // bucket colours, low frequency (cold blue) to high (hot red), matching
@@ -48,7 +48,7 @@ func escape(s string) string {
 
 // Heatmap renders a core/time execution trace: one row per used core,
 // one cell per tick, coloured by frequency bucket.
-func Heatmap(w io.Writer, title string, tr *metrics.Trace, edges []machine.FreqMHz) {
+func Heatmap(w io.Writer, title string, tr *obs.Trace, edges []machine.FreqMHz) {
 	cores := tr.CoresUsed()
 	ticks := tr.Ticks()
 	if len(cores) == 0 || ticks == 0 {
@@ -208,36 +208,59 @@ func Bars(w io.Writer, title string, seriesNames []string, groups []BarGroup) {
 	footer(w)
 }
 
-// TimeSeries renders machine-wide samples: busy cores and mean busy
-// frequency over time, two stacked panels.
-func TimeSeries(w io.Writer, title string, ts *metrics.TimeSeries, maxMHz float64) {
+// TimeSeries renders the machine-wide view of a core gauge stream, as
+// an obs.SeriesBuffer collects it: the busy core count and the mean
+// busy frequency at each sample instant, two stacked panels.
+func TimeSeries(w io.Writer, title string, cores []obs.CoreGauge, maxMHz float64) {
 	const (
 		left = 50
 		top  = 30
 		hPer = 90
 		ptW  = 2
 	)
-	n := len(ts.Samples)
+	type sample struct {
+		busy    int
+		meanMHz float64
+	}
+	// Each instant's gauges are contiguous and in ascending core order.
+	var samples []sample
+	for i := 0; i < len(cores); {
+		var s sample
+		var sum float64
+		j := i
+		for ; j < len(cores) && cores[j].T == cores[i].T; j++ {
+			if cores[j].State == "busy" {
+				s.busy++
+				sum += float64(cores[j].FreqMHz)
+			}
+		}
+		if s.busy > 0 {
+			s.meanMHz = sum / float64(s.busy)
+		}
+		samples = append(samples, s)
+		i = j
+	}
+	n := len(samples)
 	if n == 0 {
 		header(w, 400, 60, title+" (no samples)")
 		footer(w)
 		return
 	}
 	maxBusy := 1
-	for _, s := range ts.Samples {
-		if s.BusyCores > maxBusy {
-			maxBusy = s.BusyCores
+	for _, s := range samples {
+		if s.busy > maxBusy {
+			maxBusy = s.busy
 		}
 	}
 	width := left + n*ptW + 20
 	height := top + 2*hPer + 50
 	header(w, width, height, title)
 
-	panel := func(y0 int, label string, get func(metrics.TickSample) float64, max float64, col string) {
+	panel := func(y0 int, label string, get func(sample) float64, max float64, col string) {
 		fmt.Fprintf(w, `<text x="4" y="%d" font-family="monospace" font-size="9">%s</text>`+"\n", y0+10, escape(label))
 		fmt.Fprintf(w, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n", left, y0+hPer, left+n*ptW, y0+hPer)
 		var pts []string
-		for i, s := range ts.Samples {
+		for i, s := range samples {
 			v := get(s)
 			y := y0 + hPer - int(v/max*float64(hPer-10))
 			pts = append(pts, fmt.Sprintf("%d,%d", left+i*ptW, y))
@@ -245,8 +268,8 @@ func TimeSeries(w io.Writer, title string, ts *metrics.TimeSeries, maxMHz float6
 		fmt.Fprintf(w, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>`+"\n", col, strings.Join(pts, " "))
 	}
 	panel(top, fmt.Sprintf("busy cores (max %d)", maxBusy),
-		func(s metrics.TickSample) float64 { return float64(s.BusyCores) }, float64(maxBusy), "#3b4cc0")
+		func(s sample) float64 { return float64(s.busy) }, float64(maxBusy), "#3b4cc0")
 	panel(top+hPer+20, fmt.Sprintf("mean busy MHz (max %.0f)", maxMHz),
-		func(s metrics.TickSample) float64 { return s.MeanBusyMHz }, maxMHz, "#b40426")
+		func(s sample) float64 { return s.meanMHz }, maxMHz, "#b40426")
 	footer(w)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -31,11 +31,11 @@ func wellFormed(t *testing.T, out string, wantElems ...string) {
 	}
 }
 
-func sampleTrace() *metrics.Trace {
-	tr := metrics.NewTrace(0, 40*sim.Millisecond)
-	tr.AddPoint(0, 3, 1000)
-	tr.AddPoint(4*sim.Millisecond, 3, 3900)
-	tr.AddPoint(8*sim.Millisecond, 7, 2500)
+func sampleTrace() *obs.Trace {
+	tr := obs.NewTrace(0, 40*sim.Millisecond)
+	tr.Record(obs.CoreGauge{T: 0, Core: 3, State: "busy", FreqMHz: 1000})
+	tr.Record(obs.CoreGauge{T: 4 * sim.Millisecond, Core: 3, State: "busy", FreqMHz: 3900})
+	tr.Record(obs.CoreGauge{T: 8 * sim.Millisecond, Core: 7, State: "busy", FreqMHz: 2500})
 	return tr
 }
 
@@ -55,7 +55,7 @@ func TestHeatmap(t *testing.T) {
 
 func TestHeatmapEmpty(t *testing.T) {
 	var b strings.Builder
-	Heatmap(&b, "x", metrics.NewTrace(0, sim.Millisecond), testEdges)
+	Heatmap(&b, "x", obs.NewTrace(0, sim.Millisecond), testEdges)
 	wellFormed(t, b.String(), "svg")
 }
 
@@ -80,20 +80,33 @@ func TestBars(t *testing.T) {
 }
 
 func TestTimeSeries(t *testing.T) {
-	ts := metrics.NewTimeSeries(1)
+	var cores []obs.CoreGauge
 	for i := 0; i < 20; i++ {
-		ts.Add(metrics.TickSample{
-			Time: sim.Time(i) * sim.Tick, Runnable: i % 5,
-			BusyCores: i % 7, MeanBusyMHz: 2000 + 50*float64(i), PowerW: 80,
-		})
+		for c := 0; c < 8; c++ {
+			state := "idle"
+			if c < i%7 {
+				state = "busy"
+			}
+			cores = append(cores, obs.CoreGauge{
+				T: sim.Time(i) * sim.Tick, Core: c, State: state, FreqMHz: 2000 + 50*i,
+			})
+		}
 	}
 	var b strings.Builder
-	TimeSeries(&b, "ts", ts, 3900)
-	wellFormed(t, b.String(), "svg", "polyline")
+	TimeSeries(&b, "ts", cores, 3900)
+	out := b.String()
+	wellFormed(t, out, "svg", "polyline")
+	if !strings.Contains(out, "busy cores (max 6)") {
+		t.Fatalf("busy-core peak missing:\n%s", out)
+	}
+	// 20 instants, one point each, in both panels.
+	if got := strings.Count(out, ","); got != 40 {
+		t.Fatalf("%d points plotted, want 40", got)
+	}
 }
 
 func TestTimeSeriesEmpty(t *testing.T) {
 	var b strings.Builder
-	TimeSeries(&b, "ts", metrics.NewTimeSeries(1), 3900)
+	TimeSeries(&b, "ts", nil, 3900)
 	wellFormed(t, b.String(), "svg")
 }

@@ -9,7 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // freqGlyphs maps a frequency bucket index (low to high) to a glyph.
@@ -30,7 +30,7 @@ func Glyph(i, n int) byte {
 // CoreTrace renders one row per used core, one column per tick; busy
 // ticks show a glyph encoding the frequency bucket, idle ticks a space.
 // It reproduces the layout of the paper's Figures 2, 8 and 9.
-func CoreTrace(w io.Writer, tr *metrics.Trace, edges []machine.FreqMHz) {
+func CoreTrace(w io.Writer, tr *obs.Trace, edges []machine.FreqMHz) {
 	if tr == nil || len(tr.Points) == 0 {
 		fmt.Fprintln(w, "(no trace points)")
 		return
@@ -75,7 +75,7 @@ func CoreTrace(w io.Writer, tr *metrics.Trace, edges []machine.FreqMHz) {
 	fmt.Fprintln(w)
 }
 
-func timeAxis(ticks int, tr *metrics.Trace) string {
+func timeAxis(ticks int, tr *obs.Trace) string {
 	return fmt.Sprintf("%v → %v (%d ticks of 4ms)", tr.Start, tr.End, ticks)
 }
 

@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 func TestCoreTraceRendersRows(t *testing.T) {
-	tr := metrics.NewTrace(0, 40*sim.Millisecond)
-	tr.AddPoint(0, 3, 1000)
-	tr.AddPoint(4*sim.Millisecond, 3, 3900)
-	tr.AddPoint(8*sim.Millisecond, 7, 2500)
+	tr := obs.NewTrace(0, 40*sim.Millisecond)
+	tr.Record(obs.CoreGauge{T: 0, Core: 3, State: "busy", FreqMHz: 1000})
+	tr.Record(obs.CoreGauge{T: 4 * sim.Millisecond, Core: 3, State: "busy", FreqMHz: 3900})
+	tr.Record(obs.CoreGauge{T: 8 * sim.Millisecond, Core: 7, State: "busy", FreqMHz: 2500})
 	edges := []machine.FreqMHz{1000, 1600, 2300, 2800, 3100, 3600, 3900}
 	var b strings.Builder
 	CoreTrace(&b, tr, edges)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -171,12 +172,11 @@ func TestHackbenchSchedulerBound(t *testing.T) {
 func TestNASUsesAllCores(t *testing.T) {
 	spec := machine.IntelXeon6130(2)
 	w, _ := ByName("nas/ep.C")
-	m := cpu.New(cpu.Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 3})
-	tr := metrics.NewTrace(0, 2*sim.Second)
-	m2 := cpu.New(cpu.Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 3, Trace: tr})
-	_ = m
-	w.Install(m2, 0.02)
-	m2.Run(0)
+	tr := obs.NewTrace(0, 2*sim.Second)
+	m := cpu.New(cpu.Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 3,
+		Obs: obs.New(tr), SampleEvery: sim.Tick})
+	w.Install(m, 0.02)
+	m.Run(0)
 	if used := len(tr.CoresUsed()); used < spec.Topo.NumCores()*9/10 {
 		t.Fatalf("NAS used only %d of %d cores", used, spec.Topo.NumCores())
 	}

@@ -35,6 +35,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/proc"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -109,11 +110,21 @@ func PolicyByName(name string) (Policy, error) {
 type Result = metrics.Result
 
 // Trace captures per-tick core activity for rendering execution traces.
-type Trace = metrics.Trace
+// It records from the run's per-tick gauge stream.
+type Trace = obs.Trace
 
 // NewTrace returns a trace capturing the window [start, end) of a run.
 func NewTrace(start, end time.Duration) *Trace {
-	return metrics.NewTrace(sim.Time(start.Nanoseconds()), sim.Time(end.Nanoseconds()))
+	return obs.NewTrace(sim.Time(start.Nanoseconds()), sim.Time(end.Nanoseconds()))
+}
+
+// traceHub returns the hub and sampling period that feed tr, or nothing
+// when tr is nil.
+func traceHub(tr *Trace) (*obs.Hub, sim.Duration) {
+	if tr == nil {
+		return nil, 0
+	}
+	return obs.New(tr), sim.Tick
 }
 
 // Machine is a simulated server ready to run tasks.
@@ -138,7 +149,8 @@ func NewMachineTraced(id MachineID, policy Policy, gov GovernorID, seed uint64, 
 	if err != nil {
 		panic(err)
 	}
-	m := cpu.New(cpu.Config{Spec: spec, Gov: g, Policy: policy, Seed: seed, Trace: tr})
+	h, every := traceHub(tr)
+	m := cpu.New(cpu.Config{Spec: spec, Gov: g, Policy: policy, Seed: seed, Obs: h, SampleEvery: every})
 	return &Machine{inner: m, spec: spec}
 }
 
@@ -220,14 +232,16 @@ type Config struct {
 
 // Experiment runs one registered workload under one configuration.
 func Experiment(c Config) (*Result, error) {
+	h, every := traceHub(c.Trace)
 	return experiments.Run(experiments.RunSpec{
-		Machine:   string(c.Machine),
-		Scheduler: c.Scheduler,
-		Governor:  string(c.Governor),
-		Workload:  c.Workload,
-		Scale:     c.Scale,
-		Seed:      c.Seed,
-		Trace:     c.Trace,
+		Machine:     string(c.Machine),
+		Scheduler:   c.Scheduler,
+		Governor:    string(c.Governor),
+		Workload:    c.Workload,
+		Scale:       c.Scale,
+		Seed:        c.Seed,
+		Obs:         h,
+		SampleEvery: every,
 	})
 }
 

@@ -96,17 +96,27 @@ func TestExperimentAndSpeedup(t *testing.T) {
 
 func TestTracedRun(t *testing.T) {
 	tr := nestsim.NewTrace(0, 500*time.Millisecond)
-	res, err := nestsim.Experiment(nestsim.Config{
+	if _, err := nestsim.Experiment(nestsim.Config{
 		Machine: nestsim.Xeon5218, Scheduler: "cfs", Governor: nestsim.Schedutil,
 		Workload: "configure/gcc", Scale: 0.02, Seed: 1, Trace: tr,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Points) == 0 {
-		t.Fatal("trace empty")
+	if len(tr.Points) == 0 || len(tr.UnderloadSeries) == 0 {
+		t.Fatalf("trace empty: %d points, %d underload intervals", len(tr.Points), len(tr.UnderloadSeries))
 	}
-	_ = res
+
+	// The same window through a hand-built machine.
+	tr2 := nestsim.NewTrace(0, 500*time.Millisecond)
+	m := nestsim.NewMachineTraced(nestsim.Xeon5218, nestsim.CFS(), nestsim.Schedutil, 1, tr2)
+	if err := m.Install("configure/gcc", 0.02); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(0)
+	if len(tr2.Points) != len(tr.Points) || len(tr2.UnderloadSeries) != len(tr.UnderloadSeries) {
+		t.Fatalf("NewMachineTraced: %d points, %d intervals; Experiment: %d, %d",
+			len(tr2.Points), len(tr2.UnderloadSeries), len(tr.Points), len(tr.UnderloadSeries))
+	}
 }
 
 func TestPolicyByName(t *testing.T) {
