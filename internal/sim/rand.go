@@ -76,23 +76,53 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 // LogNormalDur returns a log-normally jittered duration around mean with
 // the given coefficient of variation, clamped to [mean/10, mean*10].
 // Task lifetimes in shell-script style workloads are heavy-tailed; this
-// keeps the tail without letting a single sample dominate a run.
+// keeps the tail without letting a single sample dominate a run. A
+// caller whose mean and cv are fixed should build a LogNormal once.
 func (r *Rand) LogNormalDur(mean Duration, cv float64) Duration {
+	return NewLogNormal(mean, cv).Draw(r)
+}
+
+// LogNormal is the distribution LogNormalDur draws from, with its
+// parameters derived once. A zero or negative mean always yields 0 and
+// a zero or negative cv always yields mean, both without a draw.
+type LogNormal struct {
+	mean      Duration
+	jitter    bool
+	mu, sigma float64
+	lo, hi    float64
+}
+
+// NewLogNormal derives the distribution of LogNormalDur(mean, cv).
+func NewLogNormal(mean Duration, cv float64) LogNormal {
 	if mean <= 0 {
-		return 0
+		return LogNormal{}
 	}
 	if cv <= 0 {
-		return mean
+		return LogNormal{mean: mean}
 	}
 	sigma := math.Sqrt(math.Log(1 + cv*cv))
-	mu := math.Log(float64(mean)) - sigma*sigma/2
-	v := math.Exp(r.Normal(mu, sigma))
-	lo, hi := float64(mean)/10, float64(mean)*10
-	if v < lo {
-		v = lo
+	return LogNormal{
+		mean:   mean,
+		jitter: true,
+		mu:     math.Log(float64(mean)) - sigma*sigma/2,
+		sigma:  sigma,
+		lo:     float64(mean) / 10,
+		hi:     float64(mean) * 10,
 	}
-	if v > hi {
-		v = hi
+}
+
+// Draw returns one sample, making exactly the draws from r that
+// LogNormalDur makes.
+func (l LogNormal) Draw(r *Rand) Duration {
+	if !l.jitter {
+		return l.mean
+	}
+	v := math.Exp(r.Normal(l.mu, l.sigma))
+	if v < l.lo {
+		v = l.lo
+	}
+	if v > l.hi {
+		v = l.hi
 	}
 	return Duration(v)
 }

@@ -114,6 +114,7 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 		}
 		iters = scaleCount(iters, scale, 5)
 		work := jitterCycles(m, us(g.ComputeUS), g.ComputeCV)
+		sleep := sim.NewLogNormal(us(g.SleepUS), maxf(g.SleepCV, 0.2))
 		nominal := m.Spec().Nominal
 
 		mk := func() proc.Behavior {
@@ -146,7 +147,7 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 					}
 					pending = append(pending, proc.WaitChildren{})
 					if g.SleepUS > 0 {
-						pending = append(pending, proc.Sleep{D: r.LogNormalDur(us(g.SleepUS), maxf(g.SleepCV, 0.2))})
+						pending = append(pending, proc.Sleep{D: sleep.Draw(r)})
 					}
 					a := pending[0]
 					pending = pending[1:]
@@ -175,7 +176,7 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 						burstIdeal = proc.TimeFor(c, nominal)
 						return proc.Compute{Cycles: c}
 					}
-					d := r.LogNormalDur(us(g.SleepUS), maxf(g.SleepCV, 0.2))
+					d := sleep.Draw(r)
 					if g.ScaleSleep && burstIdeal > 0 {
 						ratio := float64(t.Now-burstStart) / float64(burstIdeal)
 						if ratio < 0.4 {

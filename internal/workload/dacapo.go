@@ -46,7 +46,11 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 		iters = 10
 	}
 	work := jitterCycles(m, p.Burst, p.BurstCV)
-	gap := p.Gap
+	gcv := p.GapCV
+	if gcv == 0 {
+		gcv = 0.5
+	}
+	gap := sim.NewLogNormal(p.Gap, gcv)
 	nominal := m.Spec().Nominal
 
 	// Workers' waits are lock/queue waits on other threads, not absolute
@@ -83,11 +87,7 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 					ratio = 3
 				}
 			}
-			gcv := p.GapCV
-			if gcv == 0 {
-				gcv = 0.5
-			}
-			d := r.LogNormalDur(gap, gcv)
+			d := gap.Draw(r)
 			d = sim.Duration(float64(d) * (fixedWaitFrac + (1-fixedWaitFrac)*ratio))
 			return proc.Sleep{D: d}
 		}
@@ -98,6 +98,7 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 		remaining := helperIters
 		computing := false
 		hw := jitterCycles(m, p.HelperWork, 0.4)
+		helperSleep := sim.NewLogNormal(p.HelperPeriod, 0.3)
 		return func(t *proc.Task, r *sim.Rand) proc.Action {
 			if remaining <= 0 {
 				return proc.Exit{}
@@ -108,7 +109,7 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 			}
 			computing = false
 			remaining--
-			return proc.Sleep{D: r.LogNormalDur(p.HelperPeriod, 0.3)}
+			return proc.Sleep{D: helperSleep.Draw(r)}
 		}
 	}
 

@@ -87,6 +87,8 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 	iters := scaleCount(int(paperSecs*float64(sim.Second)/float64(period)), scale, 10)
 	work := jitterCycles(m, p.Burst, p.BurstCV)
 	nominal := m.Spec().Nominal
+	startIdle := sim.NewLogNormal(p.StartIdle, 0.3)
+	gap := sim.NewLogNormal(p.Gap, maxf(p.GapCV, 0.3))
 
 	var bar *proc.Barrier
 	if p.Barrier {
@@ -103,7 +105,7 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 		return func(t *proc.Task, r *sim.Rand) proc.Action {
 			if !started {
 				started = true
-				return proc.Sleep{D: r.LogNormalDur(p.StartIdle, 0.3)}
+				return proc.Sleep{D: startIdle.Draw(r)}
 			}
 			if remaining <= 0 {
 				return proc.Exit{}
@@ -130,7 +132,7 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 				burstIdeal = proc.TimeFor(c, nominal)
 				return proc.Compute{Cycles: c}
 			}
-			d := r.LogNormalDur(p.Gap, maxf(p.GapCV, 0.3))
+			d := gap.Draw(r)
 			if p.ScaleGap && burstIdeal > 0 {
 				ratio := float64(t.Now-burstStart) / float64(burstIdeal)
 				if ratio < 0.4 {

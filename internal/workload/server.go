@@ -64,6 +64,7 @@ func (p serverProfile) install(m *cpu.Machine, scale float64) {
 	if perHandler < 1 && remainder == 0 {
 		perHandler = 1
 	}
+	pause := sim.NewLogNormal(p.Pause, maxf(p.PauseCV, 0.3))
 	mkHandler := func(extra int) proc.Behavior {
 		left := perHandler + extra
 		state := 0
@@ -90,7 +91,7 @@ func (p serverProfile) install(m *cpu.Machine, scale float64) {
 				acc.record(t.Now - reqStart)
 				reqStart = -1
 				state = 0
-				return proc.Sleep{D: r.LogNormalDur(p.Pause, maxf(p.PauseCV, 0.3))}
+				return proc.Sleep{D: pause.Draw(r)}
 			}
 		}
 	}

@@ -97,8 +97,9 @@ func nominalCycles(m *cpu.Machine, d sim.Duration) int64 {
 // nominal), using the machine's RNG deterministically.
 func jitterCycles(m *cpu.Machine, mean sim.Duration, cv float64) func(r *sim.Rand) int64 {
 	nom := m.Spec().Nominal
+	ln := sim.NewLogNormal(mean, cv)
 	return func(r *sim.Rand) int64 {
-		return proc.Cycles(r.LogNormalDur(mean, cv), nom)
+		return proc.Cycles(ln.Draw(r), nom)
 	}
 }
 
