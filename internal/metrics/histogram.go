@@ -10,11 +10,16 @@ import (
 // power-of-two octave of nanoseconds is split into 2^latSubBits linear
 // sub-buckets, so recording is O(1), memory is a few KiB regardless of
 // sample count, and any percentile is exact to within one bucket —
-// a bounded relative error of 2^-latSubBits (3.125%). It is pure Go,
-// allocation-free after the first octave is touched, and deterministic:
-// the same multiset of samples always yields the same buckets and the
-// same percentile answers, which the canonical result encoding relies
-// on.
+// a bounded relative error of 2^-latSubBits (3.125%). It is pure Go and
+// deterministic: the same multiset of samples always yields the same
+// buckets and the same percentile answers, which the canonical result
+// encoding relies on. Add allocates whenever a sample lands in a new
+// highest octave past the buckets allocated so far; counts grows
+// geometrically, so that happens a few times per histogram.
+//
+// Percentile scans the buckets, so each query costs O(buckets). A caller
+// that asks for the same percentile after every few samples should use
+// PctlHist, which answers in amortised O(1).
 //
 // The zero value is ready to use.
 type LatHist struct {
@@ -114,6 +119,23 @@ func (h *LatHist) Percentile(p float64) sim.Duration {
 	if h.n == 0 {
 		return 0
 	}
+	rank := h.rank(p)
+	var cum int64
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		if cum+c > rank {
+			return h.interp(i, rank-cum)
+		}
+		cum += c
+	}
+	return h.max
+}
+
+// rank returns the sorted sample index Percentile(p) reads; h must not
+// be empty.
+func (h *LatHist) rank(p float64) int64 {
 	rank := int64(p / 100 * float64(h.n-1))
 	if rank < 0 {
 		rank = 0
@@ -121,28 +143,82 @@ func (h *LatHist) Percentile(p float64) sim.Duration {
 	if rank >= h.n {
 		rank = h.n - 1
 	}
-	var cum int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if cum+c > rank {
-			lo, hi := latBounds(i)
-			if hi-lo <= 1 {
-				return sim.Duration(lo)
-			}
-			// Interpolate by the rank's position among this bucket's
-			// samples; integer math keeps the result platform-stable.
-			pos := rank - cum // 0-based within bucket, < c
-			v := lo + (hi-lo)*pos/c
-			if sim.Duration(v) > h.max {
-				return h.max
-			}
-			return sim.Duration(v)
-		}
-		cum += c
+	return rank
+}
+
+// interp returns the value at 0-based position pos among bucket i's
+// samples (pos < counts[i]): linear within the bucket, capped at the
+// largest sample.
+func (h *LatHist) interp(i int, pos int64) sim.Duration {
+	lo, hi := latBounds(i)
+	if hi-lo <= 1 {
+		return sim.Duration(lo)
 	}
-	return h.max
+	// Integer math keeps the result platform-stable.
+	v := lo + (hi-lo)*pos/h.counts[i]
+	if sim.Duration(v) > h.max {
+		return h.max
+	}
+	return sim.Duration(v)
+}
+
+// PctlHist is a LatHist that answers one fixed percentile in amortised
+// O(1) for latency streams. It keeps a cursor on the bucket holding the
+// percentile's rank, with below = the number of samples in buckets
+// before the cursor. A sample that lands before the cursor bumps below,
+// and Value walks the cursor forward or back until
+// below <= rank < below+counts[i]. The rank only grows with the sample
+// count, and new samples cluster where earlier ones fell, so a walk is
+// usually a step or two and never longer than Percentile's scan. Value
+// returns exactly what Hist().Percentile(p) would.
+//
+// The histogram is held privately, not embedded: an exposed Add or Merge
+// would change counts behind the cursor.
+type PctlHist struct {
+	h     LatHist
+	p     float64
+	i     int   // cursor bucket
+	below int64 // samples in buckets before i
+}
+
+// NewPctlHist returns an empty histogram that tracks percentile p (in
+// [0,100], clamped as Percentile clamps it).
+func NewPctlHist(p float64) PctlHist { return PctlHist{p: p} }
+
+// Add records one latency sample. Negative samples clamp to zero.
+func (q *PctlHist) Add(d sim.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	if latIndex(int64(d)) < q.i {
+		q.below++
+	}
+	q.h.Add(d)
+}
+
+// Count returns the number of recorded samples.
+func (q *PctlHist) Count() int64 { return q.h.n }
+
+// Hist returns the underlying histogram. It is read-only: adding to or
+// merging into it would desynchronise the cursor.
+func (q *PctlHist) Hist() *LatHist { return &q.h }
+
+// Value returns the tracked percentile; 0 if empty.
+func (q *PctlHist) Value() sim.Duration {
+	h := &q.h
+	if h.n == 0 {
+		return 0
+	}
+	rank := h.rank(q.p)
+	for q.below+h.counts[q.i] <= rank {
+		q.below += h.counts[q.i]
+		q.i++
+	}
+	for q.below > rank {
+		q.i--
+		q.below -= h.counts[q.i]
+	}
+	return h.interp(q.i, rank-q.below)
 }
 
 // Tail summarises the percentiles the experiment outputs report.
