@@ -442,7 +442,7 @@ func (ol *openLoop) hedgeDelay() (sim.Duration, bool) {
 		if ol.fanLat.Count() < hedgeWarmup {
 			return 0, false
 		}
-		d := ol.fanLat.Percentile(float64(hs.Pct))
+		d := ol.fanLat.Value()
 		if d < 1 {
 			d = 1
 		}

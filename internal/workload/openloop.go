@@ -188,7 +188,7 @@ type openLoop struct {
 	// asserted by the fanout_conservation invariant probe).
 	fanFree                          *fanReq     //own:engine
 	htFree                           *hedgeTimer //own:engine
-	fanLat                           metrics.LatHist
+	fanLat                           metrics.PctlHist
 	fanIssued, fanDone, fanCancelled int64
 	fanTimeout, fanShed              int64
 	fanHedges, fanHedgeWins          int64
@@ -208,6 +208,7 @@ func installOpenLoopPool(m *cpu.Machine, cfg openLoopCfg) *openLoop {
 		arrRng:  sim.NewRand(m.Result().Seed ^ 0x61727276616c2121), // "arrval!!"
 		cliRng:  sim.NewRand(m.Result().Seed ^ 0x636c69656e742121), // "client!!"
 		byClass: make([]perClass, len(cfg.classes)),
+		fanLat:  metrics.NewPctlHist(float64(cfg.hedge.Pct)),
 	}
 	ol.pump = pumpRunner{ol: ol}
 	var actions []proc.Action
