@@ -414,6 +414,34 @@ func BenchmarkServer(b *testing.B) {
 	b.ReportMetric(s, "leveldb_nest_%")
 }
 
+// benchServe runs one serving cell per iteration on the 2-socket 6130
+// under Nest and reports the host cost per simulated second, as the
+// internal/cpu runtime benchmarks do.
+func benchServe(b *testing.B, wl string, scale float64) {
+	b.ReportAllocs()
+	var simNS float64
+	for i := 0; i < b.N; i++ {
+		res := runCellScale(b, "6130-2", "nest", "schedutil", wl, uint64(i+1), scale)
+		simNS += float64(res.Runtime)
+	}
+	if simNS > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(simNS/float64(sim.Second)), "ns/sim_s")
+	}
+}
+
+// BenchmarkServeOverloadCodel measures the open-loop overload path: MMPP
+// arrivals at 1.5x capacity with CoDel shedding.
+func BenchmarkServeOverloadCodel(b *testing.B) {
+	benchServe(b, "overload/mix-1.5-codel", 1)
+}
+
+// BenchmarkServeFanoutHedged measures the fan-out path: 16-wide requests
+// at 1.2x load with p95 hedging, whose hedge delay is a percentile of the
+// completed-subtask latencies.
+func BenchmarkServeFanoutHedged(b *testing.B) {
+	benchServe(b, "fanout/w16-1.2-p95", 0.1)
+}
+
 // BenchmarkMultiApp reports zstd's speedup in the concurrent-application
 // scenario (§5.6).
 func BenchmarkMultiApp(b *testing.B) {
