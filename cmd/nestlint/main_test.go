@@ -42,6 +42,50 @@ func build(t *testing.T) string {
 	return bin
 }
 
+// moduleCopy copies go.mod and the non-test Go files of pkg and of every
+// in-module package it imports from the module at root into a fresh
+// temporary directory, and returns that directory. Subtests that seed
+// a violation write it into the copy, so the live tree that other
+// packages' tests list at the same time never changes.
+func moduleCopy(t *testing.T, root, pkg string) string {
+	t.Helper()
+	dir := t.TempDir()
+	cmd := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{range .GoFiles}}|{{.}}{{end}}{{end}}", pkg)
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps %s: %v", pkg, err)
+	}
+	copyFile := func(rel string) {
+		b, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyFile("go.mod")
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if line == "" {
+			continue
+		}
+		parts := strings.Split(line, "|")
+		rel, err := filepath.Rel(root, parts[0])
+		if err != nil || strings.HasPrefix(rel, "..") {
+			t.Fatalf("package directory %s is outside the module", parts[0])
+		}
+		for _, f := range parts[1:] {
+			copyFile(filepath.Join(rel, f))
+		}
+	}
+	return dir
+}
+
 func TestCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the nestlint binary")
@@ -130,6 +174,7 @@ func TestCLI(t *testing.T) {
 	t.Run("UnusedDirectiveExitsOne", func(t *testing.T) {
 		// A reasoned //lint: comment that suppresses nothing must fail
 		// the run under -unused-directives and pass without it.
+		root := moduleCopy(t, root, "./internal/cfs")
 		seed := filepath.Join(root, "internal", "cfs", "lintseed_stale_directive.go")
 		src := "package cfs\n\n//lint:simtime justified once, code since rewritten\nvar lintSeedStale int\n"
 		if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
@@ -153,6 +198,7 @@ func TestCLI(t *testing.T) {
 	t.Run("SeededViolationExitsOne", func(t *testing.T) {
 		// A wall-clock call seeded into internal/cfs must fail the run —
 		// the same behavior the CI lint job relies on.
+		root := moduleCopy(t, root, "./internal/cfs")
 		seed := filepath.Join(root, "internal", "cfs", "lintseed_test_violation.go")
 		src := "package cfs\n\nimport \"time\"\n\nfunc lintSeedViolation() time.Time { return time.Now() }\n"
 		if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
