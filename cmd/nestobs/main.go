@@ -115,8 +115,8 @@ func analyze(evs []obs.Event) *analysis {
 			a.infos = append(a.infos, e)
 		case obs.RunSummary:
 			a.sums = append(a.sums, e)
-		case obs.CoreGauge:
-			a.coreG = append(a.coreG, e)
+		case *obs.CoreGauge:
+			a.coreG = append(a.coreG, *e)
 			if e.T > a.end {
 				a.end = e.T
 			}
@@ -124,8 +124,8 @@ func analyze(evs []obs.Event) *analysis {
 				lastT = e.T
 				a.instants++
 			}
-		case obs.SocketGauge:
-			a.sockG = append(a.sockG, e)
+		case *obs.SocketGauge:
+			a.sockG = append(a.sockG, *e)
 			if e.T > a.end {
 				a.end = e.T
 			}

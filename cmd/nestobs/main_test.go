@@ -22,18 +22,18 @@ func fixtureNest() []obs.Event {
 		obs.NestExpand{T: 2 * ms, Core: 1, Primary: 2, Reserve: 0, Reason: "promotion"},
 		obs.Migration{T: 3 * ms, Task: 2, From: 1, To: 0, Reason: "schedule_in"},
 		obs.TickBalance{T: 4 * ms, From: 0, To: 2, Task: 1, Kind2: "newidle"},
-		obs.CoreGauge{T: 4 * ms, Core: 0, State: "busy", FreqMHz: 2600, Queue: 1},
-		obs.CoreGauge{T: 4 * ms, Core: 1, State: "spin", FreqMHz: 2600, Queue: 0},
-		obs.CoreGauge{T: 4 * ms, Core: 2, State: "idle", FreqMHz: 1200, Queue: 0},
-		obs.CoreGauge{T: 4 * ms, Core: 3, State: "offline", FreqMHz: 0, Queue: 0},
-		obs.NestGauge{T: 4 * ms, Primary: 2, Reserve: 0},
-		obs.SocketGauge{T: 4 * ms, Socket: 0, Busy: 1, Online: 3},
-		obs.CoreGauge{T: 8 * ms, Core: 0, State: "busy", FreqMHz: 2800, Queue: 0},
-		obs.CoreGauge{T: 8 * ms, Core: 1, State: "busy", FreqMHz: 2800, Queue: 2},
-		obs.CoreGauge{T: 8 * ms, Core: 2, State: "idle", FreqMHz: 1200, Queue: 0},
-		obs.CoreGauge{T: 8 * ms, Core: 3, State: "offline", FreqMHz: 0, Queue: 0},
-		obs.NestGauge{T: 8 * ms, Primary: 2, Reserve: 1},
-		obs.SocketGauge{T: 8 * ms, Socket: 0, Busy: 2, Online: 3},
+		&obs.CoreGauge{T: 4 * ms, Core: 0, State: "busy", FreqMHz: 2600, Queue: 1},
+		&obs.CoreGauge{T: 4 * ms, Core: 1, State: "spin", FreqMHz: 2600, Queue: 0},
+		&obs.CoreGauge{T: 4 * ms, Core: 2, State: "idle", FreqMHz: 1200, Queue: 0},
+		&obs.CoreGauge{T: 4 * ms, Core: 3, State: "offline", FreqMHz: 0, Queue: 0},
+		&obs.NestGauge{T: 4 * ms, Primary: 2, Reserve: 0},
+		&obs.SocketGauge{T: 4 * ms, Socket: 0, Busy: 1, Online: 3},
+		&obs.CoreGauge{T: 8 * ms, Core: 0, State: "busy", FreqMHz: 2800, Queue: 0},
+		&obs.CoreGauge{T: 8 * ms, Core: 1, State: "busy", FreqMHz: 2800, Queue: 2},
+		&obs.CoreGauge{T: 8 * ms, Core: 2, State: "idle", FreqMHz: 1200, Queue: 0},
+		&obs.CoreGauge{T: 8 * ms, Core: 3, State: "offline", FreqMHz: 0, Queue: 0},
+		&obs.NestGauge{T: 8 * ms, Primary: 2, Reserve: 1},
+		&obs.SocketGauge{T: 8 * ms, Socket: 0, Busy: 2, Online: 3},
 		obs.RunSummary{Machine: "test4", Scheduler: "nest", Governor: "schedutil", Workload: "demo", Seed: 7,
 			RuntimeNS: 10e6, EnergyJ: 1.5, WakeP50: 10_000, WakeP95: 20_000, WakeP99: 30_000, WakeP999: 40_000, Wakeups: 100},
 	}
@@ -47,11 +47,11 @@ func fixtureCFS() []obs.Event {
 		obs.PlacementDecision{T: 1 * ms, Sched: "cfs", Task: 1, Core: 0, Path: "prev", Scanned: 1},
 		obs.PlacementDecision{T: 2 * ms, Sched: "cfs", Task: 2, Core: 2, Path: "idlest_group", Scanned: 12},
 		obs.Migration{T: 3 * ms, Task: 2, From: 2, To: 3, Reason: "schedule_in"},
-		obs.CoreGauge{T: 4 * ms, Core: 0, State: "busy", FreqMHz: 2400, Queue: 0},
-		obs.CoreGauge{T: 4 * ms, Core: 1, State: "idle", FreqMHz: 1200, Queue: 0},
-		obs.CoreGauge{T: 4 * ms, Core: 2, State: "busy", FreqMHz: 2400, Queue: 1},
-		obs.CoreGauge{T: 4 * ms, Core: 3, State: "idle", FreqMHz: 1200, Queue: 0},
-		obs.SocketGauge{T: 4 * ms, Socket: 0, Busy: 2, Online: 4},
+		&obs.CoreGauge{T: 4 * ms, Core: 0, State: "busy", FreqMHz: 2400, Queue: 0},
+		&obs.CoreGauge{T: 4 * ms, Core: 1, State: "idle", FreqMHz: 1200, Queue: 0},
+		&obs.CoreGauge{T: 4 * ms, Core: 2, State: "busy", FreqMHz: 2400, Queue: 1},
+		&obs.CoreGauge{T: 4 * ms, Core: 3, State: "idle", FreqMHz: 1200, Queue: 0},
+		&obs.SocketGauge{T: 4 * ms, Socket: 0, Busy: 2, Online: 4},
 		obs.RunSummary{Machine: "test4", Scheduler: "cfs", Governor: "schedutil", Workload: "demo", Seed: 7,
 			RuntimeNS: 12e6, EnergyJ: 1.8, WakeP50: 12_000, WakeP95: 26_000, WakeP99: 27_000, WakeP999: 50_000, Wakeups: 110},
 	}

@@ -315,9 +315,9 @@ type Machine struct {
 	// underloadPass closed, for the gauge pass.
 	underload int
 
-	// gaugeBusy / gaugeOnline are per-socket scratch for the gauge pass.
-	gaugeBusy   []int
-	gaugeOnline []int
+	// gauge is the gauge pass's scratch, allocated only when sampling
+	// is on.
+	gauge *gaugeScratch
 
 	// tasks / inFlight back the invariant checker's machine sweep; both
 	// stay nil (and cost nothing) unless Config.Check is set. inFlight
@@ -401,8 +401,10 @@ func New(cfg Config) *Machine {
 		if m.sampleTicks < 1 {
 			m.sampleTicks = 1
 		}
-		m.gaugeBusy = make([]int, m.topo.NumSockets())
-		m.gaugeOnline = make([]int, m.topo.NumSockets())
+		m.gauge = &gaugeScratch{
+			busy:   make([]int, m.topo.NumSockets()),
+			online: make([]int, m.topo.NumSockets()),
+		}
 	}
 	if ns, ok := cfg.Policy.(nestSizer); ok {
 		m.nestSizes = ns

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/cfs"
@@ -31,13 +32,19 @@ func benchWorkload(m *Machine, spec *machine.Spec) {
 	}))
 }
 
-func benchPolicy(b *testing.B, mk func() sched.Policy, hub *obs.Hub) {
+// benchPolicy runs benchWorkload under the policy mk builds. newHub,
+// when non-nil, gives each run its own hub, sampled every sample.
+func benchPolicy(b *testing.B, mk func() sched.Policy, newHub func() *obs.Hub, sample sim.Duration) {
 	spec := machine.IntelXeon6130(2)
 	b.ReportAllocs()
 	var events uint64
 	var simNS float64
 	for i := 0; i < b.N; i++ {
-		m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: mk(), Seed: uint64(i + 1), Obs: hub})
+		var hub *obs.Hub
+		if newHub != nil {
+			hub = newHub()
+		}
+		m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: mk(), Seed: uint64(i + 1), Obs: hub, SampleEvery: sample})
 		benchWorkload(m, spec)
 		m.Run(0)
 		events += m.Engine().Steps()
@@ -56,19 +63,29 @@ func benchPolicy(b *testing.B, mk func() sched.Policy, hub *obs.Hub) {
 // BenchmarkRuntimeCFS measures end-to-end simulation throughput under
 // the CFS policy.
 func BenchmarkRuntimeCFS(b *testing.B) {
-	benchPolicy(b, func() sched.Policy { return cfs.Default() }, nil)
+	benchPolicy(b, func() sched.Policy { return cfs.Default() }, nil, 0)
 }
 
 // BenchmarkRuntimeNest measures the same under Nest (longer searches).
 func BenchmarkRuntimeNest(b *testing.B) {
-	benchPolicy(b, func() sched.Policy { return nest.Default() }, nil)
+	benchPolicy(b, func() sched.Policy { return nest.Default() }, nil, 0)
 }
 
 // BenchmarkRuntimeNestObsDisabled is BenchmarkRuntimeNest with a
 // disabled (sink-less) observability hub attached, for comparing the
 // Enabled() fast path against no hub at all.
 func BenchmarkRuntimeNestObsDisabled(b *testing.B) {
-	benchPolicy(b, func() sched.Policy { return nest.Default() }, obs.Disabled())
+	hub := obs.Disabled()
+	benchPolicy(b, func() sched.Policy { return nest.Default() }, func() *obs.Hub { return hub }, 0)
+}
+
+// BenchmarkRuntimeNestObserved is BenchmarkRuntimeNest fully observed:
+// every decision event and a gauge batch on every tick, encoded by a
+// JSONL recorder into io.Discard. It is the observed path's cost per
+// simulated second, without file I/O.
+func BenchmarkRuntimeNestObserved(b *testing.B) {
+	benchPolicy(b, func() sched.Policy { return nest.Default() },
+		func() *obs.Hub { return obs.New(obs.NewJSONL(io.Discard)) }, sim.Tick)
 }
 
 // TestDisabledRecorderAddsNoAllocs proves the observability layer's

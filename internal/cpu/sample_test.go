@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/json"
+	"io"
 	"testing"
 
 	nest "repro/internal/core"
@@ -67,6 +68,31 @@ func TestSamplerDisabledAddsNoAllocs(t *testing.T) {
 	disabled := run(obs.Disabled())
 	if noHub != disabled {
 		t.Fatalf("disabled sampler changes allocations: none=%v disabled=%v", noHub, disabled)
+	}
+}
+
+// TestObservedGaugePassAllocs holds the observed sampler to zero
+// allocations per gauge: a sampled tick emits every gauge of its batch
+// by pointer into a JSONL hub, whose counters are resolved handles.
+func TestObservedGaugePassAllocs(t *testing.T) {
+	spec := machine.IntelXeon6130(2)
+	jr := obs.NewJSONL(io.Discard)
+	hub := obs.New(jr)
+	m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: nest.Default(), Seed: 1, Obs: hub, SampleEvery: sim.Tick})
+	benchWorkload(m, spec)
+	m.Run(40 * sim.Millisecond) // stop mid-run, with cores busy, queued and idle
+	before := hub.Events()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { m.gaugePass(m.Now()) })
+	perTick := (hub.Events() - before) / (runs + 1) // AllocsPerRun adds a warm-up call
+	if want := int64(spec.Topo.NumCores() + 1 + spec.Topo.NumSockets() + 1); perTick != want {
+		t.Fatalf("a sampled tick emitted %d gauges, want %d", perTick, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("a sampled tick of %d gauges allocates %v times, want 0", perTick, allocs)
+	}
+	if err := jr.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -180,12 +180,27 @@ func (m *Machine) energyPass() {
 	}
 }
 
+// gaugeScratch is the gauge pass's working state: per-socket tallies,
+// and one value per gauge kind that the pass refills and emits by
+// pointer for every gauge of a batch. Recorders copy what they keep
+// (see obs.Recorder), so a sampled tick allocates nothing.
+type gaugeScratch struct {
+	busy, online []int // per socket
+
+	core      obs.CoreGauge
+	nest      obs.NestGauge
+	socket    obs.SocketGauge
+	underload obs.UnderloadGauge
+}
+
 // gaugePass emits the periodic gauge batch (Config.SampleEvery) through
 // the obs hub: one CoreGauge per core in ascending order, a NestGauge
 // when the policy maintains one, one SocketGauge per socket, then the
-// UnderloadGauge of the interval underloadPass just closed. It only
-// observes — no simulation state, RNG draw or engine event is touched —
-// so sampled and unsampled runs produce byte-identical results.
+// UnderloadGauge of the interval underloadPass just closed. Each gauge
+// goes out as a pointer into m.gauge, which the next gauge of its kind
+// overwrites. The pass only observes — no simulation state, RNG draw or
+// engine event is touched — so sampled and unsampled runs produce
+// byte-identical results.
 func (m *Machine) gaugePass(now sim.Time) {
 	h := m.obs
 	if !h.Enabled() {
@@ -194,9 +209,10 @@ func (m *Machine) gaugePass(now sim.Time) {
 	if m.sampleTicks == 0 || m.tickIndex%m.sampleTicks != 0 {
 		return
 	}
-	for s := range m.gaugeBusy {
-		m.gaugeBusy[s] = 0
-		m.gaugeOnline[s] = 0
+	g := m.gauge
+	for s := range g.busy {
+		g.busy[s] = 0
+		g.online[s] = 0
 	}
 	for i := range m.cores {
 		cs := &m.cores[i]
@@ -211,23 +227,27 @@ func (m *Machine) gaugePass(now sim.Time) {
 		}
 		if !cs.offline {
 			s := m.sockOf[cs.id]
-			m.gaugeOnline[s]++
+			g.online[s]++
 			if cs.cur != nil {
-				m.gaugeBusy[s]++
+				g.busy[s]++
 			}
 		}
-		h.Emit(obs.CoreGauge{
+		g.core = obs.CoreGauge{
 			T: now, Core: int(cs.id), State: state,
 			FreqMHz: int(m.fm.Cur(cs.id)), Queue: len(cs.queue),
-		})
+		}
+		h.Emit(&g.core)
 	}
 	if m.nestSizes != nil {
-		h.Emit(obs.NestGauge{T: now, Primary: m.nestSizes.PrimarySize(), Reserve: m.nestSizes.ReserveSize()})
+		g.nest = obs.NestGauge{T: now, Primary: m.nestSizes.PrimarySize(), Reserve: m.nestSizes.ReserveSize()}
+		h.Emit(&g.nest)
 	}
 	for s := 0; s < m.topo.NumSockets(); s++ {
-		h.Emit(obs.SocketGauge{T: now, Socket: s, Busy: m.gaugeBusy[s], Online: m.gaugeOnline[s]})
+		g.socket = obs.SocketGauge{T: now, Socket: s, Busy: g.busy[s], Online: g.online[s]}
+		h.Emit(&g.socket)
 	}
-	h.Emit(obs.UnderloadGauge{T: now, Underload: m.underload})
+	g.underload = obs.UnderloadGauge{T: now, Underload: m.underload}
+	h.Emit(&g.underload)
 }
 
 // underloadPass closes the 4 ms underload interval of §5.2: cores used

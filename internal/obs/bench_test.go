@@ -9,17 +9,17 @@ import (
 
 // gaugeBatch is one periodic sample of the 5218 (2 sockets, 64 hardware
 // threads) as the sampler emits it: a CoreGauge per core, one NestGauge
-// and a SocketGauge per socket, boxed once as the hub receives them.
+// and a SocketGauge per socket, as pointers the way the hub receives them.
 func gaugeBatch() []Event {
 	const t = 4 * sim.Millisecond
 	states := []string{"busy", "busy", "spin", "idle"}
 	var batch []Event
 	for c := 0; c < 64; c++ {
-		batch = append(batch, CoreGauge{T: t, Core: c, State: states[c%len(states)], FreqMHz: 2300 + 100*(c%16), Queue: c % 3})
+		batch = append(batch, &CoreGauge{T: t, Core: c, State: states[c%len(states)], FreqMHz: 2300 + 100*(c%16), Queue: c % 3})
 	}
-	batch = append(batch, NestGauge{T: t, Primary: 9, Reserve: 3})
+	batch = append(batch, &NestGauge{T: t, Primary: 9, Reserve: 3})
 	for s := 0; s < 2; s++ {
-		batch = append(batch, SocketGauge{T: t, Socket: s, Busy: 20 + s, Online: 32})
+		batch = append(batch, &SocketGauge{T: t, Socket: s, Busy: 20 + s, Online: 32})
 	}
 	return batch
 }

@@ -9,11 +9,24 @@ import (
 )
 
 // dec unmarshals a line into a value of the concrete event type, so
-// decoded events are the same value types live emission produces and
-// recorder type switches treat replayed streams identically.
+// decoded events are the same types live emission produces and recorder
+// type switches treat replayed streams identically.
 func dec[E Event](line []byte) (Event, error) {
 	var e E
 	if err := json.Unmarshal(line, &e); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// decPtr is dec for the gauge kinds, which live emission sends as
+// pointers: it returns a freshly allocated *E.
+func decPtr[E any, P interface {
+	*E
+	Event
+}](line []byte) (Event, error) {
+	e := P(new(E))
+	if err := json.Unmarshal(line, e); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -36,17 +49,18 @@ var decodable = map[string]func([]byte) (Event, error){
 	"tick_balance":        dec[TickBalance],
 	"overload":            dec[Overload],
 	"fanout":              dec[Fanout],
-	"core_gauge":          dec[CoreGauge],
-	"nest_gauge":          dec[NestGauge],
-	"socket_gauge":        dec[SocketGauge],
-	"underload_gauge":     dec[UnderloadGauge],
+	"core_gauge":          decPtr[CoreGauge],
+	"nest_gauge":          decPtr[NestGauge],
+	"socket_gauge":        decPtr[SocketGauge],
+	"underload_gauge":     decPtr[UnderloadGauge],
 	"run_summary":         dec[RunSummary],
 }
 
 // DecodeLine parses one JSONL line written by JSONLRecorder (or
-// SeriesBuffer.WriteJSONL) back into its typed event — the same value
-// type Emit receives, so decoded streams can replay through any
-// Recorder. Unknown event kinds and blank lines decode to (nil, nil) so
+// SeriesBuffer.WriteJSONL) back into its typed event — the same type
+// Emit receives (a pointer for the gauge kinds, a value for the rest),
+// so decoded streams can replay through any Recorder. Each call returns
+// a new event, so a caller may keep decoded gauges without copying. Unknown event kinds and blank lines decode to (nil, nil) so
 // readers skip what newer writers emit; malformed JSON is an error.
 func DecodeLine(line []byte) (Event, error) {
 	line = bytes.TrimSpace(line)

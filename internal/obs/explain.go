@@ -66,16 +66,16 @@ func (x *Explain) Record(ev Event) {
 		x.stamp(e.T)
 	case GovernorRequest:
 		x.stamp(e.T)
-	case NestGauge:
+	case *NestGauge:
 		// Periodic samples fill the gaps between expand/compact events,
 		// so a sampled run gets a denser nest-size sparkline.
 		x.nestSizes = append(x.nestSizes, nestPoint{e.T, e.Primary, e.Reserve})
 		x.stamp(e.T)
-	case CoreGauge:
+	case *CoreGauge:
 		x.stamp(e.T)
-	case SocketGauge:
+	case *SocketGauge:
 		x.stamp(e.T)
-	case UnderloadGauge:
+	case *UnderloadGauge:
 		x.stamp(e.T)
 	}
 }

@@ -76,7 +76,7 @@ func TestExplainOutOfOrderStamps(t *testing.T) {
 	x := NewExplain()
 	x.Record(Migration{T: 9 * sim.Millisecond})
 	x.Record(Migration{T: 2 * sim.Millisecond})
-	x.Record(NestGauge{T: 5 * sim.Millisecond, Primary: 2, Reserve: 1})
+	x.Record(&NestGauge{T: 5 * sim.Millisecond, Primary: 2, Reserve: 1})
 	if x.end != 9*sim.Millisecond {
 		t.Fatalf("end = %v, want 9ms (max, not last)", x.end)
 	}
@@ -87,7 +87,7 @@ func TestExplainOutOfOrderStamps(t *testing.T) {
 func TestExplainGaugeSparkline(t *testing.T) {
 	x := NewExplain()
 	for i := 1; i <= 4; i++ {
-		x.Record(NestGauge{T: sim.Time(i) * sim.Millisecond, Primary: i, Reserve: 1})
+		x.Record(&NestGauge{T: sim.Time(i) * sim.Millisecond, Primary: i, Reserve: 1})
 	}
 	var b strings.Builder
 	x.WriteTo(&b)
@@ -120,7 +120,7 @@ func TestTimelineRecorderSingleEvent(t *testing.T) {
 	}
 	// Events with no timeline representation must be dropped silently.
 	r.Record(ImpatienceTrip{T: 5 * sim.Millisecond, Task: 7})
-	r.Record(CoreGauge{T: 5 * sim.Millisecond, Core: 0, State: "busy"})
+	r.Record(&CoreGauge{T: 5 * sim.Millisecond, Core: 0, State: "busy"})
 	if len(tl.Instants) != 1 || len(tl.Counters) != 0 {
 		t.Fatal("non-timeline events leaked into the timeline")
 	}

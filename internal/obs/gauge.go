@@ -15,6 +15,13 @@ import (
 // UnderloadGauge. The batches ride the ordinary event stream, so
 // -events files interleave them with decisions and a -series file can
 // carry them alone.
+//
+// Gauges travel as pointers: the sampler emits *CoreGauge and friends
+// pointing at a value it reuses for the whole batch, and DecodeLine
+// returns the same pointer types, so a recorder's type switch needs one
+// pointer case per gauge kind. The methods keep value receivers, so the
+// value types still satisfy Event, but no emitter in this repository
+// sends them and the recorders' type switches match only the pointers.
 
 // CoreGauge is one core's state at a sample instant: what it is doing
 // ("busy", "spin", "idle", "offline"), its current frequency, and its
@@ -30,7 +37,7 @@ type CoreGauge struct {
 // Kind implements Event.
 func (CoreGauge) Kind() string { return "core_gauge" }
 
-func (CoreGauge) count(c *Counters) { c.Add("gauge.core", 1) }
+func (CoreGauge) count(c *Counters) { c.bump(cGaugeCore) }
 
 func (e CoreGauge) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"core_gauge"`...), `,"t_ns":`, int64(e.T))
@@ -52,7 +59,7 @@ type NestGauge struct {
 // Kind implements Event.
 func (NestGauge) Kind() string { return "nest_gauge" }
 
-func (NestGauge) count(c *Counters) { c.Add("gauge.nest", 1) }
+func (NestGauge) count(c *Counters) { c.bump(cGaugeNest) }
 
 func (e NestGauge) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"nest_gauge"`...), `,"t_ns":`, int64(e.T))
@@ -73,7 +80,7 @@ type SocketGauge struct {
 // Kind implements Event.
 func (SocketGauge) Kind() string { return "socket_gauge" }
 
-func (SocketGauge) count(c *Counters) { c.Add("gauge.socket", 1) }
+func (SocketGauge) count(c *Counters) { c.bump(cGaugeSocket) }
 
 func (e SocketGauge) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"socket_gauge"`...), `,"t_ns":`, int64(e.T))
@@ -96,7 +103,7 @@ type UnderloadGauge struct {
 // Kind implements Event.
 func (UnderloadGauge) Kind() string { return "underload_gauge" }
 
-func (UnderloadGauge) count(c *Counters) { c.Add("gauge.underload", 1) }
+func (UnderloadGauge) count(c *Counters) { c.bump(cGaugeUnderload) }
 
 func (e UnderloadGauge) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"underload_gauge"`...), `,"t_ns":`, int64(e.T))
@@ -126,7 +133,7 @@ type RunSummary struct {
 // Kind implements Event.
 func (RunSummary) Kind() string { return "run_summary" }
 
-func (RunSummary) count(c *Counters) { c.Add("summaries", 1) }
+func (RunSummary) count(c *Counters) { c.bump(cSummaries) }
 
 func (e RunSummary) appendJSON(b []byte) ([]byte, error) {
 	b = appendString(append(b, `{"ev":"run_summary"`...), `,"machine":`, e.Machine)

@@ -101,11 +101,24 @@ func (s *fuzzSource) int() int64 {
 	return int64(s.raw64())
 }
 
-// fill returns a value of ev's concrete type with every field drawn from
-// s. A field kind it does not know fails the test, so a new event type
-// cannot slip past the fuzzer with fields it never varies.
+// fill returns an event of ev's concrete type (a value, or a pointer to
+// a fresh value) with every field drawn from s. A field kind it does not
+// know fails the test, so a new event type cannot slip past the fuzzer
+// with fields it never varies.
 func fill(t *testing.T, ev Event, s *fuzzSource) Event {
-	v := reflect.New(reflect.TypeOf(ev)).Elem()
+	typ := reflect.TypeOf(ev)
+	if typ.Kind() == reflect.Pointer {
+		p := reflect.New(typ.Elem())
+		fillStruct(t, p.Elem(), s)
+		return p.Interface().(Event)
+	}
+	v := reflect.New(typ).Elem()
+	fillStruct(t, v, s)
+	return v.Interface().(Event)
+}
+
+// fillStruct sets every field of the struct v from s.
+func fillStruct(t *testing.T, v reflect.Value, s *fuzzSource) {
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
 		switch f.Kind() {
@@ -120,10 +133,9 @@ func fill(t *testing.T, ev Event, s *fuzzSource) Event {
 		case reflect.Bool:
 			f.SetBool(s.next()%2 == 1)
 		default:
-			t.Fatalf("%T.%s: field kind %s has no fuzz source", ev, v.Type().Field(i).Name, f.Kind())
+			t.Fatalf("%s.%s: field kind %s has no fuzz source", v.Type(), v.Type().Field(i).Name, f.Kind())
 		}
 	}
-	return v.Interface().(Event)
 }
 
 // FuzzJSONLEncode decodes the fuzz input into field values for every
@@ -174,9 +186,9 @@ func TestJSONLStickyFloatError(t *testing.T) {
 	} {
 		var buf strings.Builder
 		r := NewJSONL(&buf)
-		r.Record(NestGauge{T: 1, Primary: 2, Reserve: 3})
+		r.Record(&NestGauge{T: 1, Primary: 2, Reserve: 3})
 		r.Record(bad)
-		r.Record(NestGauge{T: 2, Primary: 2, Reserve: 3})
+		r.Record(&NestGauge{T: 2, Primary: 2, Reserve: 3})
 		err := r.Flush()
 		if _, ok := err.(*json.UnsupportedValueError); !ok {
 			t.Fatalf("%T: Flush error %v, want *json.UnsupportedValueError", bad, err)
@@ -196,7 +208,7 @@ func TestJSONLStickyFloatError(t *testing.T) {
 // the per-run average.
 func TestJSONLRecordAllocFree(t *testing.T) {
 	r := NewJSONL(io.Discard)
-	var ev Event = CoreGauge{T: 4 * sim.Millisecond, Core: 17, State: "busy", FreqMHz: 3900, Queue: 2}
+	var ev Event = &CoreGauge{T: 4 * sim.Millisecond, Core: 17, State: "busy", FreqMHz: 3900, Queue: 2}
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 1000; i++ {
 			r.Record(ev)
@@ -208,4 +220,174 @@ func TestJSONLRecordAllocFree(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Names the stream fuzzer substitutes into counter-naming fields, so
+// that the actions Overload and Fanout switch on turn up, and so that
+// names built by different events collide ("fault" + "." + "x" is also
+// the Fault counter "fault.x").
+var fuzzNameParts = []string{
+	"", "x", "cfs", "nest", "fault", "gauge", "core", "a.b", "b.c", "a",
+	"completed", "retry", "shed_full", "shed_codel", "timeout_queue", "timeout_served",
+	"sub_done", "sub_cancel", "sub_timeout", "hedge", "stage_done", "hedge_lost",
+	"periodic", "newidle",
+}
+
+// nameFields are the string fields the counters build names from.
+var nameFields = []string{"Sched", "Path", "Action", "Class", "Cause", "Kind2", "Rule"}
+
+// counterNames is the counter oracle: the names an event bumps, built
+// by concatenation as the registry once built them on every event.
+func counterNames(t *testing.T, ev Event) []string {
+	switch e := ev.(type) {
+	case RunInfo:
+		return []string{"runs"}
+	case PlacementDecision:
+		return []string{e.Sched + "." + e.Path}
+	case Migration:
+		return []string{"cpu.migration"}
+	case NestExpand:
+		return []string{"nest.expand"}
+	case NestCompact:
+		return []string{"nest.compact"}
+	case ImpatienceTrip:
+		return []string{"nest.impatience"}
+	case FreqGrant:
+		return []string{"freq.grant"}
+	case GovernorRequest:
+		return []string{"gov.request"}
+	case Fault:
+		return []string{"fault." + e.Action}
+	case InvariantViolation:
+		return []string{"invariant.violation", "invariant." + e.Rule}
+	case Overload:
+		switch {
+		case strings.HasPrefix(e.Action, "shed"):
+			return []string{"ovl.shed", "ovl.shed." + e.Class, "ovl." + e.Action}
+		case strings.HasPrefix(e.Action, "timeout"):
+			return []string{"ovl.timeout", "ovl.timeout." + e.Class, "ovl." + e.Action}
+		case e.Action == "retry":
+			return []string{"ovl.retry", "ovl.retry." + e.Class}
+		case e.Action == "completed":
+			return []string{"ovl.completed", "ovl.completed." + e.Class}
+		}
+		return []string{"ovl." + e.Action}
+	case Fanout:
+		switch e.Action {
+		case "sub_done":
+			if e.Attempt > 0 {
+				return []string{"fan.sub_done", "fan.hedge_win"}
+			}
+			return []string{"fan.sub_done"}
+		case "sub_cancel":
+			return []string{"fan.sub_cancel", "fan.cancel." + e.Cause}
+		case "hedge":
+			return []string{"fan.hedge"}
+		}
+		return []string{"fan." + e.Action}
+	case TickBalance:
+		return []string{"cpu.balance." + e.Kind2}
+	case *CoreGauge:
+		return []string{"gauge.core"}
+	case *NestGauge:
+		return []string{"gauge.nest"}
+	case *SocketGauge:
+		return []string{"gauge.socket"}
+	case *UnderloadGauge:
+		return []string{"gauge.underload"}
+	case RunSummary:
+		return []string{"summaries"}
+	}
+	t.Fatalf("%T has no counter oracle", ev)
+	return nil
+}
+
+// FuzzJSONLRecorder decodes the fuzz input into an event stream and
+// sends it through obs.New(jsonl), the way a run does. Gauges arrive
+// in runs of pointers to one scratch value per kind, refilled for each
+// gauge as the sampler refills its own, interleaved with the other
+// kinds. The stream must equal the concatenated encoding/json oracle
+// lines, stopping at the first event the oracle cannot encode, and
+// the counter snapshot must equal a tally built by name with Add.
+func FuzzJSONLRecorder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0x8d, 0x05, 0x02}, 64))
+	for k := 0; k < len(allEventKinds()); k++ {
+		f.Add(bytes.Repeat([]byte{byte(k), 0x03, 0x10}, 40))
+	}
+	// A placement "fault"+"x" and a Fault "x" share the name "fault.x".
+	f.Add([]byte{1, 8, 0, 8, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 2, 0, 0, 0, 0, 0, 0, 0, 0, 8, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &fuzzSource{data: data}
+		protos := allEventKinds()
+		scratch := make([]Event, len(protos))
+		for i, p := range protos {
+			if typ := reflect.TypeOf(p); typ.Kind() == reflect.Pointer {
+				scratch[i] = reflect.New(typ.Elem()).Interface().(Event)
+			}
+		}
+
+		var out, want bytes.Buffer
+		r := NewJSONL(&out)
+		h := New(r)
+		tally := NewCounters()
+		failed := false
+		emit := func(ev Event) {
+			h.Emit(ev)
+			for _, name := range counterNames(t, ev) {
+				tally.Add(name, 1)
+			}
+			if failed {
+				return
+			}
+			line, err := marshalOracle(ev)
+			if err != nil {
+				failed = true
+				return
+			}
+			want.Write(line)
+		}
+		for n := 0; len(s.data) > 0 && n < 512; n++ {
+			sel := s.next()
+			k := int(sel&0x7f) % len(protos)
+			repeat := 1
+			if sel&0x80 != 0 {
+				repeat = int(s.next()%16) + 1
+			}
+			for i := 0; i < repeat; i++ {
+				var ev Event
+				if p := scratch[k]; p != nil {
+					fillStruct(t, reflect.ValueOf(p).Elem(), s)
+					ev = p
+				} else {
+					v := reflect.New(reflect.TypeOf(protos[k])).Elem()
+					fillStruct(t, v, s)
+					for _, name := range nameFields {
+						if fv := v.FieldByName(name); fv.IsValid() && s.next()%2 == 0 {
+							fv.SetString(fuzzNameParts[int(s.next())%len(fuzzNameParts)])
+						}
+					}
+					ev = v.Interface().(Event)
+				}
+				emit(ev)
+			}
+		}
+
+		err := r.Flush()
+		if failed != (err != nil) {
+			t.Fatalf("oracle failed: %v, recorder error: %v", failed, err)
+		}
+		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+			t.Fatalf("stream differs from the oracle:\n got %s\nwant %s", out.Bytes(), want.Bytes())
+		}
+		snap, tallied := h.Snapshot(), tally.Snapshot()
+		for _, name := range tally.Names() {
+			if snap[name] != tallied[name] {
+				t.Errorf("counter %q = %d, by-name tally %d", name, snap[name], tallied[name])
+			}
+		}
+		if got, want := h.Counters().Names(), tally.Names(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("counter names differ:\n got %q\nwant %q", got, want)
+		}
+	})
 }

@@ -17,6 +17,11 @@
 //		h.Emit(obs.PlacementDecision{T: m.Now(), Sched: "cfs", ...})
 //	}
 //
+// The per-tick gauges are the bulk of an observed stream, so the
+// sampler fills a value it owns and emits a pointer to it instead
+// (h.Emit(&g.core)); the interface then holds the pointer and nothing
+// is allocated.
+//
 // The counter registry (Counters) is safe for concurrent use; recorders
 // are not, matching the single-goroutine simulation loop.
 package obs
@@ -48,6 +53,13 @@ type Event interface {
 // JSONLRecorder, Explain, TimelineRecorder, SeriesBuffer, Trace.
 // Recorders run synchronously inside the simulation loop and need not be
 // concurrency-safe.
+//
+// An event is valid only for the duration of Record. The gauge kinds
+// arrive as pointers (*CoreGauge, *NestGauge, *SocketGauge,
+// *UnderloadGauge), live and decoded alike, and the sampler reuses the
+// pointed-to value for the next gauge of its batch. A recorder that
+// keeps an event past Record must therefore copy the value, never the
+// pointer or the interface.
 type Recorder interface {
 	Record(ev Event)
 }
@@ -87,7 +99,9 @@ func (h *Hub) Enabled() bool {
 }
 
 // Emit records ev: counters first, then the recorder chain. Safe on a
-// nil or disabled hub (the event is dropped).
+// nil or disabled hub (the event is dropped). The hub keeps nothing of
+// ev after Emit returns, so the caller may reuse the value a pointer
+// event points to (see Recorder).
 func (h *Hub) Emit(ev Event) {
 	if h == nil {
 		return
@@ -170,7 +184,7 @@ type RunInfo struct {
 // Kind implements Event.
 func (RunInfo) Kind() string { return "run" }
 
-func (RunInfo) count(c *Counters) { c.Add("runs", 1) }
+func (RunInfo) count(c *Counters) { c.bump(cRuns) }
 
 func (e RunInfo) appendJSON(b []byte) ([]byte, error) {
 	b = appendString(append(b, `{"ev":"run"`...), `,"machine":`, e.Machine)
@@ -205,7 +219,7 @@ type PlacementDecision struct {
 // Kind implements Event.
 func (PlacementDecision) Kind() string { return "placement" }
 
-func (e PlacementDecision) count(c *Counters) { c.Add(e.Sched+"."+e.Path, 1) }
+func (e PlacementDecision) count(c *Counters) { c.bumpComposed(famPath, e.Sched, e.Path) }
 
 func (e PlacementDecision) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"placement"`...), `,"t_ns":`, int64(e.T))
@@ -240,7 +254,7 @@ type Migration struct {
 // Kind implements Event.
 func (Migration) Kind() string { return "migration" }
 
-func (Migration) count(c *Counters) { c.Add("cpu.migration", 1) }
+func (Migration) count(c *Counters) { c.bump(cMigration) }
 
 func (e Migration) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"migration"`...), `,"t_ns":`, int64(e.T))
@@ -269,7 +283,7 @@ type NestExpand struct {
 // Kind implements Event.
 func (NestExpand) Kind() string { return "nest_expand" }
 
-func (NestExpand) count(c *Counters) { c.Add("nest.expand", 1) }
+func (NestExpand) count(c *Counters) { c.bump(cNestExpand) }
 
 func (e NestExpand) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"nest_expand"`...), `,"t_ns":`, int64(e.T))
@@ -296,7 +310,7 @@ type NestCompact struct {
 // Kind implements Event.
 func (NestCompact) Kind() string { return "nest_compact" }
 
-func (NestCompact) count(c *Counters) { c.Add("nest.compact", 1) }
+func (NestCompact) count(c *Counters) { c.bump(cNestCompact) }
 
 func (e NestCompact) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"nest_compact"`...), `,"t_ns":`, int64(e.T))
@@ -322,7 +336,7 @@ type ImpatienceTrip struct {
 // Kind implements Event.
 func (ImpatienceTrip) Kind() string { return "impatience" }
 
-func (ImpatienceTrip) count(c *Counters) { c.Add("nest.impatience", 1) }
+func (ImpatienceTrip) count(c *Counters) { c.bump(cNestImpatience) }
 
 func (e ImpatienceTrip) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"impatience"`...), `,"t_ns":`, int64(e.T))
@@ -349,7 +363,7 @@ type FreqGrant struct {
 // Kind implements Event.
 func (FreqGrant) Kind() string { return "freq_grant" }
 
-func (FreqGrant) count(c *Counters) { c.Add("freq.grant", 1) }
+func (FreqGrant) count(c *Counters) { c.bump(cFreqGrant) }
 
 func (e FreqGrant) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"freq_grant"`...), `,"t_ns":`, int64(e.T))
@@ -378,7 +392,7 @@ type GovernorRequest struct {
 // Kind implements Event.
 func (GovernorRequest) Kind() string { return "governor_request" }
 
-func (GovernorRequest) count(c *Counters) { c.Add("gov.request", 1) }
+func (GovernorRequest) count(c *Counters) { c.bump(cGovRequest) }
 
 func (e GovernorRequest) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"governor_request"`...), `,"t_ns":`, int64(e.T))
@@ -415,7 +429,7 @@ type Fault struct {
 // Kind implements Event.
 func (Fault) Kind() string { return "fault" }
 
-func (e Fault) count(c *Counters) { c.Add("fault."+e.Action, 1) }
+func (e Fault) count(c *Counters) { c.bumpComposed(famFault, e.Action, "") }
 
 func (e Fault) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"fault"`...), `,"t_ns":`, int64(e.T))
@@ -445,8 +459,8 @@ type InvariantViolation struct {
 func (InvariantViolation) Kind() string { return "invariant_violation" }
 
 func (e InvariantViolation) count(c *Counters) {
-	c.Add("invariant.violation", 1)
-	c.Add("invariant."+e.Rule, 1)
+	c.bump(cInvariantViolation)
+	c.bumpComposed(famInvariant, e.Rule, "")
 }
 
 func (e InvariantViolation) appendJSON(b []byte) ([]byte, error) {
@@ -481,21 +495,21 @@ func (Overload) Kind() string { return "overload" }
 func (e Overload) count(c *Counters) {
 	switch {
 	case strings.HasPrefix(e.Action, "shed"):
-		c.Add("ovl.shed", 1)
-		c.Add("ovl.shed."+e.Class, 1)
-		c.Add("ovl."+e.Action, 1)
+		c.bump(cOvlShed)
+		c.bumpComposed(famOvlShed, e.Class, "")
+		c.bumpComposed(famOvl, e.Action, "")
 	case strings.HasPrefix(e.Action, "timeout"):
-		c.Add("ovl.timeout", 1)
-		c.Add("ovl.timeout."+e.Class, 1)
-		c.Add("ovl."+e.Action, 1)
+		c.bump(cOvlTimeout)
+		c.bumpComposed(famOvlTimeout, e.Class, "")
+		c.bumpComposed(famOvl, e.Action, "")
 	case e.Action == "retry":
-		c.Add("ovl.retry", 1)
-		c.Add("ovl.retry."+e.Class, 1)
+		c.bump(cOvlRetry)
+		c.bumpComposed(famOvlRetry, e.Class, "")
 	case e.Action == "completed":
-		c.Add("ovl.completed", 1)
-		c.Add("ovl.completed."+e.Class, 1)
+		c.bump(cOvlCompleted)
+		c.bumpComposed(famOvlCompleted, e.Class, "")
 	default:
-		c.Add("ovl."+e.Action, 1)
+		c.bumpComposed(famOvl, e.Action, "")
 	}
 }
 
@@ -547,17 +561,17 @@ func (Fanout) Kind() string { return "fanout" }
 func (e Fanout) count(c *Counters) {
 	switch e.Action {
 	case "sub_done":
-		c.Add("fan.sub_done", 1)
+		c.bump(cFanSubDone)
 		if e.Attempt > 0 {
-			c.Add("fan.hedge_win", 1)
+			c.bump(cFanHedgeWin)
 		}
 	case "sub_cancel":
-		c.Add("fan.sub_cancel", 1)
-		c.Add("fan.cancel."+e.Cause, 1)
+		c.bump(cFanSubCancel)
+		c.bumpComposed(famFanCancel, e.Cause, "")
 	case "hedge":
-		c.Add("fan.hedge", 1)
+		c.bump(cFanHedge)
 	default: // sub_timeout, sub_shed, stage_done
-		c.Add("fan."+e.Action, 1)
+		c.bumpComposed(famFan, e.Action, "")
 	}
 }
 
@@ -601,7 +615,7 @@ type TickBalance struct {
 // Kind implements Event.
 func (TickBalance) Kind() string { return "tick_balance" }
 
-func (e TickBalance) count(c *Counters) { c.Add("cpu.balance."+e.Kind2, 1) }
+func (e TickBalance) count(c *Counters) { c.bumpComposed(famBalance, e.Kind2, "") }
 
 func (e TickBalance) appendJSON(b []byte) ([]byte, error) {
 	b = appendInt(append(b, `{"ev":"tick_balance"`...), `,"t_ns":`, int64(e.T))

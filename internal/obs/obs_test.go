@@ -124,6 +124,55 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
+// TestCountersConcurrentEvents emits events from several goroutines
+// into one counter-only hub while a reader snapshots it, so that under
+// -race the first-use resolution of fixed slots and of the parts-keyed
+// cache runs concurrently with itself and with lookups by name. The
+// totals must equal a by-name tally of the same events.
+func TestCountersConcurrentEvents(t *testing.T) {
+	const workers, rounds = 8, 50
+	var events []Event
+	for i, ev := range allEventKinds() {
+		events = append(events, ev,
+			PlacementDecision{Sched: "w", Path: fmt.Sprint(i)},
+			Fault{Action: fmt.Sprint("a", i%3)},
+			Fanout{Action: "sub_cancel", Cause: fmt.Sprint("c", i%4)})
+	}
+	h := New()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			h.Snapshot()
+			h.Counters().Value("gauge.core")
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, ev := range events {
+					h.Emit(ev)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+
+	tally := NewCounters()
+	for _, ev := range events {
+		for _, name := range counterNames(t, ev) {
+			tally.Add(name, workers*rounds)
+		}
+	}
+	if got, want := h.Snapshot(), tally.Snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("concurrent event counts:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	var b strings.Builder
 	r := NewJSONL(&b)

@@ -32,39 +32,41 @@ const (
 	seriesUnderload
 )
 
-// Record implements Recorder, keeping gauge events and dropping the rest.
+// Record implements Recorder, copying gauge events into the typed
+// slices and dropping the rest.
 func (b *SeriesBuffer) Record(ev Event) {
 	switch e := ev.(type) {
-	case CoreGauge:
+	case *CoreGauge:
 		b.order = append(b.order, seriesRef{seriesCore, int32(len(b.Cores))})
-		b.Cores = append(b.Cores, e)
-	case NestGauge:
+		b.Cores = append(b.Cores, *e)
+	case *NestGauge:
 		b.order = append(b.order, seriesRef{seriesNest, int32(len(b.Nests))})
-		b.Nests = append(b.Nests, e)
-	case SocketGauge:
+		b.Nests = append(b.Nests, *e)
+	case *SocketGauge:
 		b.order = append(b.order, seriesRef{seriesSocket, int32(len(b.Sockets))})
-		b.Sockets = append(b.Sockets, e)
-	case UnderloadGauge:
+		b.Sockets = append(b.Sockets, *e)
+	case *UnderloadGauge:
 		b.order = append(b.order, seriesRef{seriesUnderload, int32(len(b.Underloads))})
-		b.Underloads = append(b.Underloads, e)
+		b.Underloads = append(b.Underloads, *e)
 	}
 }
 
 // Len returns the number of buffered gauge samples.
 func (b *SeriesBuffer) Len() int { return len(b.order) }
 
-// Each calls fn for every buffered gauge in emission order.
+// Each calls fn for every buffered gauge in emission order. Like live
+// emission it passes pointers, here into the buffer's own slices.
 func (b *SeriesBuffer) Each(fn func(ev Event)) {
 	for _, r := range b.order {
 		switch r.kind {
 		case seriesCore:
-			fn(b.Cores[r.idx])
+			fn(&b.Cores[r.idx])
 		case seriesNest:
-			fn(b.Nests[r.idx])
+			fn(&b.Nests[r.idx])
 		case seriesSocket:
-			fn(b.Sockets[r.idx])
+			fn(&b.Sockets[r.idx])
 		case seriesUnderload:
-			fn(b.Underloads[r.idx])
+			fn(&b.Underloads[r.idx])
 		}
 	}
 }

@@ -24,11 +24,11 @@ func TestSeriesBufferOrderAndJSONL(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tm := sim.Time(i) * sim.Millisecond
 		h.Emit(PlacementDecision{T: tm, Sched: "nest", Path: "attached"})
-		emitGauge(CoreGauge{T: tm, Core: 0, State: "busy", FreqMHz: 2600, Queue: i})
-		emitGauge(CoreGauge{T: tm, Core: 1, State: "idle"})
-		emitGauge(NestGauge{T: tm, Primary: i + 1, Reserve: 1})
-		emitGauge(SocketGauge{T: tm, Socket: 0, Busy: 1, Online: 2})
-		emitGauge(UnderloadGauge{T: tm, Underload: i})
+		emitGauge(&CoreGauge{T: tm, Core: 0, State: "busy", FreqMHz: 2600, Queue: i})
+		emitGauge(&CoreGauge{T: tm, Core: 1, State: "idle"})
+		emitGauge(&NestGauge{T: tm, Primary: i + 1, Reserve: 1})
+		emitGauge(&SocketGauge{T: tm, Socket: 0, Busy: 1, Online: 2})
+		emitGauge(&UnderloadGauge{T: tm, Underload: i})
 		h.Emit(Migration{T: tm, Task: 9, From: 0, To: 1})
 	}
 	if err := wantRec.Flush(); err != nil {
@@ -67,11 +67,11 @@ func TestSeriesBufferOrderAndJSONL(t *testing.T) {
 // TestGaugeCounters checks the gauge events bump their registry names.
 func TestGaugeCounters(t *testing.T) {
 	h := New()
-	h.Emit(CoreGauge{Core: 1, State: "busy"})
-	h.Emit(CoreGauge{Core: 2, State: "idle"})
-	h.Emit(NestGauge{Primary: 1})
-	h.Emit(SocketGauge{Socket: 0, Online: 2})
-	h.Emit(UnderloadGauge{Underload: 3})
+	h.Emit(&CoreGauge{Core: 1, State: "busy"})
+	h.Emit(&CoreGauge{Core: 2, State: "idle"})
+	h.Emit(&NestGauge{Primary: 1})
+	h.Emit(&SocketGauge{Socket: 0, Online: 2})
+	h.Emit(&UnderloadGauge{Underload: 3})
 	h.Emit(RunSummary{Workload: "w"})
 	snap := h.Snapshot()
 	if snap["gauge.core"] != 2 || snap["gauge.nest"] != 1 || snap["gauge.socket"] != 1 ||

@@ -62,7 +62,7 @@ func (tr *Trace) Record(ev Event) {
 			tr.pulledAt, tr.pulled = e.T, tr.pulled[:0]
 		}
 		tr.pulled = append(tr.pulled, e.To)
-	case CoreGauge:
+	case *CoreGauge:
 		if e.State != "busy" || !tr.active(e.T) {
 			return
 		}
@@ -74,7 +74,7 @@ func (tr *Trace) Record(ev Event) {
 			Core: int32(e.Core),
 			Freq: machine.FreqMHz(e.FreqMHz),
 		})
-	case UnderloadGauge:
+	case *UnderloadGauge:
 		if tr.active(e.T) {
 			tr.UnderloadSeries = append(tr.UnderloadSeries, e.Underload)
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // busy is a busy CoreGauge for core c at t.
-func busy(t sim.Time, c, mhz int) CoreGauge {
-	return CoreGauge{T: t, Core: c, State: "busy", FreqMHz: mhz}
+func busy(t sim.Time, c, mhz int) *CoreGauge {
+	return &CoreGauge{T: t, Core: c, State: "busy", FreqMHz: mhz}
 }
 
 func TestTraceWindow(t *testing.T) {
@@ -19,7 +19,7 @@ func TestTraceWindow(t *testing.T) {
 	tr.Record(busy(150*sim.Millisecond, 3, 3000)) // inside
 	tr.Record(busy(250*sim.Millisecond, 5, 2500)) // after
 	for _, state := range []string{"idle", "spin", "offline"} {
-		tr.Record(CoreGauge{T: 150 * sim.Millisecond, Core: 4, State: state, FreqMHz: 3000})
+		tr.Record(&CoreGauge{T: 150 * sim.Millisecond, Core: 4, State: state, FreqMHz: 3000})
 	}
 	if len(tr.Points) != 1 {
 		t.Fatalf("points = %d, want 1", len(tr.Points))
@@ -82,10 +82,10 @@ func TestTraceNewidleBalanceKept(t *testing.T) {
 
 func TestTraceUnderloadWindow(t *testing.T) {
 	tr := NewTrace(100*sim.Millisecond, 200*sim.Millisecond)
-	tr.Record(UnderloadGauge{T: 96 * sim.Millisecond, Underload: 7})
-	tr.Record(UnderloadGauge{T: 100 * sim.Millisecond, Underload: 2})
-	tr.Record(UnderloadGauge{T: 104 * sim.Millisecond, Underload: 0})
-	tr.Record(UnderloadGauge{T: 200 * sim.Millisecond, Underload: 9})
+	tr.Record(&UnderloadGauge{T: 96 * sim.Millisecond, Underload: 7})
+	tr.Record(&UnderloadGauge{T: 100 * sim.Millisecond, Underload: 2})
+	tr.Record(&UnderloadGauge{T: 104 * sim.Millisecond, Underload: 0})
+	tr.Record(&UnderloadGauge{T: 200 * sim.Millisecond, Underload: 9})
 	if want := []int{2, 0}; !slices.Equal(tr.UnderloadSeries, want) {
 		t.Fatalf("underload = %v, want %v", tr.UnderloadSeries, want)
 	}

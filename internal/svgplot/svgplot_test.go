@@ -33,9 +33,9 @@ func wellFormed(t *testing.T, out string, wantElems ...string) {
 
 func sampleTrace() *obs.Trace {
 	tr := obs.NewTrace(0, 40*sim.Millisecond)
-	tr.Record(obs.CoreGauge{T: 0, Core: 3, State: "busy", FreqMHz: 1000})
-	tr.Record(obs.CoreGauge{T: 4 * sim.Millisecond, Core: 3, State: "busy", FreqMHz: 3900})
-	tr.Record(obs.CoreGauge{T: 8 * sim.Millisecond, Core: 7, State: "busy", FreqMHz: 2500})
+	tr.Record(&obs.CoreGauge{T: 0, Core: 3, State: "busy", FreqMHz: 1000})
+	tr.Record(&obs.CoreGauge{T: 4 * sim.Millisecond, Core: 3, State: "busy", FreqMHz: 3900})
+	tr.Record(&obs.CoreGauge{T: 8 * sim.Millisecond, Core: 7, State: "busy", FreqMHz: 2500})
 	return tr
 }
 

@@ -11,9 +11,9 @@ import (
 
 func TestCoreTraceRendersRows(t *testing.T) {
 	tr := obs.NewTrace(0, 40*sim.Millisecond)
-	tr.Record(obs.CoreGauge{T: 0, Core: 3, State: "busy", FreqMHz: 1000})
-	tr.Record(obs.CoreGauge{T: 4 * sim.Millisecond, Core: 3, State: "busy", FreqMHz: 3900})
-	tr.Record(obs.CoreGauge{T: 8 * sim.Millisecond, Core: 7, State: "busy", FreqMHz: 2500})
+	tr.Record(&obs.CoreGauge{T: 0, Core: 3, State: "busy", FreqMHz: 1000})
+	tr.Record(&obs.CoreGauge{T: 4 * sim.Millisecond, Core: 3, State: "busy", FreqMHz: 3900})
+	tr.Record(&obs.CoreGauge{T: 8 * sim.Millisecond, Core: 7, State: "busy", FreqMHz: 2500})
 	edges := []machine.FreqMHz{1000, 1600, 2300, 2800, 3100, 3600, 3900}
 	var b strings.Builder
 	CoreTrace(&b, tr, edges)
