@@ -32,8 +32,9 @@ import (
 )
 
 // Version is the journal format version. Bumping it invalidates every
-// existing journal on resume.
-const Version = 1
+// existing journal on resume. Version 2 records a result's wake latency
+// as a histogram instead of its raw samples.
+const Version = 2
 
 // CodeSalt identifies the code version that wrote a journal. Headers
 // (and the cell keys the experiment layer derives) mix it in so a

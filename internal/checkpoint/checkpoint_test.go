@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,7 +60,7 @@ func TestResumeRejectsWrongScope(t *testing.T) {
 func TestResumeRejectsWrongSaltAndVersion(t *testing.T) {
 	path := tempJournal(t)
 	if err := os.WriteFile(path,
-		[]byte(`{"kind":"header","version":1,"salt":"other-build","scope":"s"}`+"\n"), 0o644); err != nil {
+		[]byte(`{"kind":"header","version":`+strconv.Itoa(Version)+`,"salt":"other-build","scope":"s"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Resume(path, "s"); err == nil || !strings.Contains(err.Error(), "code version") {

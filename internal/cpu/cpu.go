@@ -541,7 +541,6 @@ func (m *Machine) finalize() {
 		m.res.Stats = &metrics.RunStats{
 			Counters: m.obs.Snapshot(),
 			Events:   m.obs.Events(),
-			WakeTail: m.res.WakeLatency.Tail(),
 		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 
 // EncodeResult renders a run's result in the canonical journal form.
 // The encoding round-trips exactly: DecodeResult(EncodeResult(r))
-// re-encodes to the same bytes (metrics.Latency sorts its samples for
-// this), which is what lets a resumed grid reproduce an uninterrupted
-// run byte for byte.
+// re-encodes to the same bytes (the wake-latency histogram has one
+// canonical form), which is what lets a resumed grid reproduce an
+// uninterrupted run byte for byte.
 func EncodeResult(res *metrics.Result) (json.RawMessage, error) {
 	return json.Marshal(res)
 }

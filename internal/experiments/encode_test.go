@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"strings"
@@ -58,4 +59,41 @@ func TestRenderJSONRoundTrip(t *testing.T) {
 	if back.Sections[1].Pre == "" {
 		t.Fatal("JSON dropped the trace section")
 	}
+}
+
+// TestEncodeResultWakeLatencyCompact encodes a hackbench cell, tens of
+// thousands of wakeups, and checks the encoding stays small (the wake
+// latency is a histogram, not its samples) and round-trips exactly.
+func TestEncodeResultWakeLatencyCompact(t *testing.T) {
+	res, err := Run(RunSpec{Machine: "5218", Scheduler: "nest", Governor: "schedutil",
+		Workload: "micro/hackbench", Scale: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.WakeLatency.Count(); n < 10_000 {
+		t.Fatalf("only %d wakeups; the cell no longer exercises a long run", n)
+	}
+	raw, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) >= 16<<10 {
+		t.Fatalf("encoding is %d bytes, want under 16 KiB", len(raw))
+	}
+	back, err := DecodeResult(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeResult(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, again) {
+		t.Fatal("DecodeResult→EncodeResult changed the bytes")
+	}
+	if back.WakeLatency.Tail() != res.WakeLatency.Tail() || back.WakeLatency.Count() != res.WakeLatency.Count() {
+		t.Fatalf("round trip: tail %+v count %d, want %+v %d", back.WakeLatency.Tail(),
+			back.WakeLatency.Count(), res.WakeLatency.Tail(), res.WakeLatency.Count())
+	}
+	t.Logf("%d wakeups encode in %d bytes", res.WakeLatency.Count(), len(raw))
 }

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -15,7 +18,8 @@ import (
 // buckets and the same percentile answers, which the canonical result
 // encoding relies on. Add allocates whenever a sample lands in a new
 // highest octave past the buckets allocated so far; counts grows
-// geometrically, so that happens a few times per histogram.
+// geometrically, so that happens a few times per histogram. No raw
+// samples are kept, so memory stays bounded over any run length.
 //
 // Percentile scans the buckets, so each query costs O(buckets). A caller
 // that asks for the same percentile after every few samples should use
@@ -110,8 +114,8 @@ func (h *LatHist) Merge(other *LatHist) {
 }
 
 // Percentile returns the p-th percentile (p in [0,100]); 0 if empty.
-// It uses the same rank convention as Latency.Percentile — the sample
-// at sorted index int(p/100*(n-1)) — then interpolates linearly within
+// It reads the sample at sorted index int(p/100*(n-1)), the rank an
+// exact sorted-slice percentile reads, interpolating linearly within
 // the bucket holding that rank, so the answer is exact within one
 // bucket (relative error at most 2^-latSubBits for values above
 // 2^latSubBits, exact below).
@@ -154,12 +158,17 @@ func (h *LatHist) interp(i int, pos int64) sim.Duration {
 	if hi-lo <= 1 {
 		return sim.Duration(lo)
 	}
-	// Integer math keeps the result platform-stable.
-	v := lo + (hi-lo)*pos/h.counts[i]
-	if sim.Duration(v) > h.max {
+	// Integer math keeps the result platform-stable. The product is
+	// taken in 128 bits: a wide bucket's width times pos overflows
+	// int64. The quotient is below the width, so it fits in 64 bits.
+	w := uint64(hi - lo) // wraps to the true width when hi overflows
+	phi, plo := bits.Mul64(w, uint64(pos))
+	q, _ := bits.Div64(phi, plo, uint64(h.counts[i]))
+	v := sim.Duration(lo + int64(q))
+	if v > h.max {
 		return h.max
 	}
-	return sim.Duration(v)
+	return v
 }
 
 // PctlHist is a LatHist that answers one fixed percentile in amortised
@@ -244,11 +253,64 @@ func (h *LatHist) Buckets(fn func(lo, hi int64, count int64)) {
 }
 
 // TailSummary carries the tail percentiles of one latency distribution
-// in virtual nanoseconds. It is part of the canonical result encoding
-// (see Latency.MarshalJSON) and of RunStats.
+// in virtual nanoseconds, as the experiment tables and the obs
+// run_summary report them.
 type TailSummary struct {
 	P50  sim.Duration `json:"p50_ns"`
 	P95  sim.Duration `json:"p95_ns"`
 	P99  sim.Duration `json:"p99_ns"`
 	P999 sim.Duration `json:"p999_ns"`
+}
+
+// MarshalJSON encodes the histogram in its one canonical form: the
+// largest sample and every non-empty bucket as an [index, count] pair in
+// ascending index order, e.g. {"max":70,"buckets":[[3,2],[67,1]]}.
+// Empty buckets never appear, however far counts has grown. An empty
+// histogram encodes as {}.
+func (h LatHist) MarshalJSON() ([]byte, error) {
+	if h.n == 0 {
+		return []byte("{}"), nil
+	}
+	w := latHistWire{Max: int64(h.max)}
+	for i, c := range h.counts {
+		if c != 0 {
+			w.Buckets = append(w.Buckets, [2]int64{int64(i), c})
+		}
+	}
+	return json.Marshal(w)
+}
+
+type latHistWire struct {
+	Max     int64      `json:"max"`
+	Buckets [][2]int64 `json:"buckets"`
+}
+
+// UnmarshalJSON restores a histogram written by MarshalJSON. Its input
+// may come from a file (a checkpoint journal), so it rejects what
+// MarshalJSON cannot have written: a bucket index past that of
+// math.MaxInt64 (it sizes an allocation), indices not strictly
+// ascending, a count below 1 or a total that overflows, and a max that
+// is negative or outside the top bucket. On error h is unchanged.
+func (h *LatHist) UnmarshalJSON(data []byte) error {
+	var w latHistWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	top, n := -1, int64(0)
+	for _, b := range w.Buckets {
+		i, c := b[0], b[1]
+		if i <= int64(top) || i > int64(latIndex(math.MaxInt64)) || c <= 0 || n > math.MaxInt64-c {
+			return fmt.Errorf("metrics: latency histogram bucket [%d,%d] out of order or range", i, c)
+		}
+		top, n = int(i), n+c
+	}
+	if w.Max < 0 || (top >= 0 || w.Max != 0) && latIndex(w.Max) != top {
+		return fmt.Errorf("metrics: latency histogram max %d outside its top bucket", w.Max)
+	}
+	counts := make([]int64, top+1)
+	for _, b := range w.Buckets {
+		counts[b[0]] = b[1]
+	}
+	*h = LatHist{counts: counts, n: n, max: sim.Duration(w.Max)}
+	return nil
 }

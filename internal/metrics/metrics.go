@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -97,95 +96,6 @@ func EdgesFor(spec *machine.Spec) []machine.FreqMHz {
 	return edges
 }
 
-// Latency records wakeup-to-run latencies and reports percentiles, the
-// schbench metric. Alongside the raw samples it maintains a log-bucketed
-// LatHist, so tail percentiles are available in O(buckets) without
-// sorting and survive into the canonical JSON encoding.
-type Latency struct {
-	samples []sim.Duration
-	sorted  bool
-	hist    LatHist
-}
-
-// Add records one latency sample.
-func (l *Latency) Add(d sim.Duration) {
-	l.samples = append(l.samples, d)
-	l.sorted = false
-	l.hist.Add(d)
-}
-
-// Count returns the number of samples.
-func (l *Latency) Count() int { return len(l.samples) }
-
-// Percentile returns the p-th percentile (p in [0,100]); 0 if empty.
-func (l *Latency) Percentile(p float64) sim.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	if !l.sorted {
-		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
-		l.sorted = true
-	}
-	idx := int(p / 100 * float64(len(l.samples)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(l.samples) {
-		idx = len(l.samples) - 1
-	}
-	return l.samples[idx]
-}
-
-// Hist returns the histogram view of the recorded samples.
-func (l *Latency) Hist() *LatHist { return &l.hist }
-
-// Tail returns the histogram-derived tail percentiles (p50/p95/p99/
-// p99.9). Unlike Percentile it never sorts or mutates, so it is safe on
-// shared results; values are exact within one histogram bucket.
-func (l *Latency) Tail() TailSummary { return l.hist.Tail() }
-
-// latencyWire is Latency's JSON form. Samples are marshaled sorted so
-// the encoding is canonical: the same run encodes to the same bytes no
-// matter whether a percentile query sorted it first, which the
-// checkpoint journal's byte-identity guarantee depends on. The tail
-// percentiles are a pure function of the samples (recomputed from the
-// histogram on unmarshal), so round-tripping preserves byte identity.
-type latencyWire struct {
-	Samples []sim.Duration `json:"samples,omitempty"`
-	Tail    *TailSummary   `json:"tail,omitempty"`
-}
-
-// MarshalJSON encodes the samples in sorted order (without mutating l)
-// plus the histogram tail percentiles. An empty Latency encodes as {}.
-func (l Latency) MarshalJSON() ([]byte, error) {
-	if len(l.samples) == 0 {
-		return []byte("{}"), nil
-	}
-	s := l.samples
-	if !l.sorted {
-		s = append([]sim.Duration(nil), l.samples...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	tail := l.hist.Tail()
-	return json.Marshal(latencyWire{Samples: s, Tail: &tail})
-}
-
-// UnmarshalJSON restores samples written by MarshalJSON, rebuilding the
-// histogram so a decoded Latency re-encodes to identical bytes.
-func (l *Latency) UnmarshalJSON(data []byte) error {
-	var w latencyWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	l.samples = w.Samples
-	l.sorted = sort.SliceIsSorted(w.Samples, func(i, j int) bool { return w.Samples[i] < w.Samples[j] })
-	l.hist = LatHist{}
-	for _, d := range w.Samples {
-		l.hist.Add(d)
-	}
-	return nil
-}
-
 // Counters tallies scheduler events over a run.
 type Counters struct {
 	Forks          int64
@@ -210,9 +120,6 @@ type RunStats struct {
 	Counters map[string]int64
 	// Events is the total number of events recorded.
 	Events int64
-	// WakeTail holds the run's wakeup-latency tail percentiles,
-	// histogram-derived (exact within one log bucket).
-	WakeTail TailSummary
 }
 
 // Counter returns the named counter's value (0 when absent or nil).
@@ -249,8 +156,9 @@ type Result struct {
 	FreqHist *Hist
 	// Counters are scheduler event tallies.
 	Counters Counters
-	// WakeLatency records wakeup-to-run delays.
-	WakeLatency Latency
+	// WakeLatency is the distribution of wakeup-to-run delays, the
+	// schbench metric.
+	WakeLatency LatHist
 	// Stats holds observability aggregates (nil without an obs hub).
 	Stats *RunStats
 	// Custom carries workload-specific metrics (throughput, ops/s).

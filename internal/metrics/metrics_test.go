@@ -88,7 +88,7 @@ func TestEdgesForGenericFallback(t *testing.T) {
 }
 
 func TestLatencyPercentiles(t *testing.T) {
-	var l Latency
+	var l LatHist
 	for i := 1; i <= 1000; i++ {
 		l.Add(sim.Duration(i))
 	}
@@ -101,19 +101,9 @@ func TestLatencyPercentiles(t *testing.T) {
 	if got := l.Percentile(0); got != 1 {
 		t.Fatalf("p0 = %v", got)
 	}
-	var empty Latency
+	var empty LatHist
 	if empty.Percentile(99) != 0 {
 		t.Fatal("empty percentile should be 0")
-	}
-}
-
-func TestLatencyInterleavedAddQuery(t *testing.T) {
-	var l Latency
-	l.Add(10)
-	_ = l.Percentile(50)
-	l.Add(1) // must re-sort after a post-query Add
-	if got := l.Percentile(0); got != 1 {
-		t.Fatalf("p0 after interleaved add = %v, want 1", got)
 	}
 }
 
@@ -168,7 +158,7 @@ func TestResultCustom(t *testing.T) {
 }
 
 func TestLatencyJSONRoundTrip(t *testing.T) {
-	var l Latency
+	var l LatHist
 	for _, d := range []sim.Duration{30, 10, 20, 10} {
 		l.Add(d)
 	}
@@ -176,14 +166,10 @@ func TestLatencyJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != `{"samples":[10,10,20,30],"tail":{"p50_ns":10,"p95_ns":20,"p99_ns":20,"p999_ns":20}}` {
-		t.Errorf("marshal = %s, want sorted samples plus tail", b)
+	if string(b) != `{"max":30,"buckets":[[10,2],[20,1],[30,1]]}` {
+		t.Errorf("marshal = %s, want max plus ascending buckets", b)
 	}
-	// Marshaling must not mutate: insertion order is still intact.
-	if l.samples[0] != 30 {
-		t.Error("MarshalJSON sorted the receiver's samples in place")
-	}
-	var back Latency
+	var back LatHist
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +186,8 @@ func TestLatencyJSONRoundTrip(t *testing.T) {
 }
 
 func TestLatencyJSONEmpty(t *testing.T) {
-	// The pre-journal encoding of an empty Latency was {} (unexported
-	// fields); it must stay exactly that, by value or by pointer.
-	var l Latency
+	// An empty histogram encodes as {}, by value or by pointer.
+	var l LatHist
 	for _, v := range []any{l, &l} {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -212,11 +197,12 @@ func TestLatencyJSONEmpty(t *testing.T) {
 			t.Errorf("empty latency marshals as %s, want {}", b)
 		}
 	}
-	var back Latency
+	var back LatHist
+	back.Add(5)
 	if err := json.Unmarshal([]byte("{}"), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Count() != 0 {
-		t.Errorf("empty round trip has %d samples", back.Count())
+	if back.Count() != 0 || back.Max() != 0 {
+		t.Errorf("empty round trip has %d samples, max %d", back.Count(), back.Max())
 	}
 }

@@ -114,7 +114,8 @@ func (e UnderloadGauge) appendJSON(b []byte) ([]byte, error) {
 // RunSummary closes one run's event stream with its headline results, so
 // offline tooling (cmd/nestobs diff) can compare runs without the full
 // result encoding. Durations are virtual nanoseconds; the wake
-// percentiles are the histogram-derived tail of metrics.Latency.
+// percentiles are the tail of the result's wake-latency histogram
+// (metrics.LatHist).
 type RunSummary struct {
 	Machine   string  `json:"machine"`
 	Scheduler string  `json:"sched"`

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"repro/internal/cpu"
-	"repro/internal/machine"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -118,8 +117,3 @@ func spawnWorkers(m *cpu.Machine, name string, n int, worker func(i int) proc.Be
 	actions = append(actions, proc.WaitChildren{})
 	m.Spawn(name, proc.Script(actions...))
 }
-
-// MachineFits reports whether the workload's natural parallelism fits the
-// machine (used by the harness to skip configurations the paper did not
-// run).
-func MachineFits(w *Workload, spec *machine.Spec) bool { return true }
