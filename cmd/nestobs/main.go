@@ -13,7 +13,9 @@
 //	nestobs diff nest.jsonl cfs.jsonl
 //
 // Everything is derived from the stream, so a report is reproducible
-// from the .jsonl artifact alone: same file, same bytes out.
+// from the .jsonl artifact alone: same file, same bytes out. Execution
+// slices ("ev":"slice") are skipped: the report has no per-slice view
+// (nestsim -chrometrace renders them), and they bump no counter.
 package main
 
 import (
@@ -87,7 +89,8 @@ func (a *analysis) cols() int {
 	return a.instants
 }
 
-// loadFile decodes one JSONL stream and aggregates it.
+// loadFile decodes one JSONL stream, minus its execution slices, and
+// aggregates it.
 func loadFile(path string) (*analysis, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -95,7 +98,11 @@ func loadFile(path string) (*analysis, error) {
 	}
 	defer f.Close()
 	var evs []obs.Event
-	if _, err := obs.DecodeStream(f, func(ev obs.Event) { evs = append(evs, ev) }); err != nil {
+	if _, err := obs.DecodeStream(f, func(ev obs.Event) {
+		if _, ok := ev.(*obs.ExecSlice); !ok {
+			evs = append(evs, ev)
+		}
+	}); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return analyze(evs), nil

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -170,6 +172,40 @@ func TestDiffGolden(t *testing.T) {
 	writeDiff(&buf, "a.jsonl", "b.jsonl", a, b)
 	if got := buf.String(); got != goldenDiff {
 		t.Errorf("diff drifted from golden.\ngot:\n%s\nwant:\n%s\ndiff hint: got %q", got, goldenDiff, got)
+	}
+}
+
+// TestLoadFileSkipsSlices checks that execution slices leave the report
+// unchanged: the nest fixture written to a file with a slice after
+// every event reports exactly the golden.
+func TestLoadFileSkipsSlices(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nest.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewJSONL(f)
+	var s obs.ExecSlice
+	for i, ev := range fixtureNest() {
+		rec.Record(ev)
+		s = obs.ExecSlice{T: sim.Time(i), End: sim.Time(i + 1), Core: i % 4, Task: 1, TaskName: "w", FreqMHz: 2600}
+		rec.Record(&s)
+	}
+	err = rec.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := loadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	writeReport(&buf, a)
+	if got := buf.String(); got != goldenReport {
+		t.Errorf("slices changed the report:\n%s", got)
 	}
 }
 

@@ -184,12 +184,16 @@ func main() {
 	}
 }
 
+// traceCap bounds each kind of record (slices, markers, nest-size
+// samples) a -chrometrace file keeps.
+const traceCap = 2_000_000
+
 // runMain executes the standard flow: N runs, the first carrying any
 // requested observers (events, series, explain, counters), spread over
 // `workers` goroutines (repeats are independent simulations). Chrome
-// traces are the exception: every repeat gets its own timeline and its
-// own output file, because one run's trace says nothing about the
-// run-to-run variance a repeat exists to measure.
+// traces are the exception: every repeat gets its own obs.ChromeTrace
+// and its own output file, because one run's trace says nothing about
+// the run-to-run variance a repeat exists to measure.
 func runMain(rs experiments.RunSpec, runs, workers int, cellTO time.Duration, chromeOut, eventsOut, seriesOut, promOut string, countersOn, explainOn bool) error {
 	var recs []obs.Recorder
 	var jsonl *obs.JSONLRecorder
@@ -213,14 +217,12 @@ func runMain(rs experiments.RunSpec, runs, workers int, cellTO time.Duration, ch
 		explain = obs.NewExplain()
 		recs = append(recs, explain)
 	}
-	var tls []*metrics.Timeline
+	var traces []*obs.ChromeTrace
 	if chromeOut != "" {
-		tl := metrics.NewTimeline(2_000_000)
-		tl.ProcessName = rs.Workload + " on " + rs.Machine +
-			" (" + rs.Scheduler + "-" + rs.Governor + ")"
-		recs = append(recs, obs.NewTimelineRecorder(tl))
-		rs.Timeline = tl
-		tls = append(tls, tl)
+		ct := obs.NewChromeTrace(rs.Workload+" on "+rs.Machine+
+			" ("+rs.Scheduler+"-"+rs.Governor+")", traceCap)
+		recs = append(recs, ct)
+		traces = append(traces, ct)
 	}
 	if len(recs) > 0 || countersOn || promOut != "" {
 		rs.Obs = obs.New(recs...)
@@ -228,16 +230,13 @@ func runMain(rs experiments.RunSpec, runs, workers int, cellTO time.Duration, ch
 
 	specs := experiments.RepeatSpecs(rs, runs)
 	if chromeOut != "" {
-		// Repeats beyond the first get a private timeline and a private
-		// hub carrying only its recorder; the shared observers above stay
-		// on run 1.
+		// Repeats beyond the first get a private hub carrying only their
+		// own trace; the shared observers above stay on run 1.
 		for i := 1; i < len(specs); i++ {
-			tl := metrics.NewTimeline(2_000_000)
-			tl.ProcessName = fmt.Sprintf("%s on %s (%s-%s) run %d",
-				rs.Workload, rs.Machine, rs.Scheduler, rs.Governor, i+1)
-			specs[i].Timeline = tl
-			specs[i].Obs = obs.New(obs.NewTimelineRecorder(tl))
-			tls = append(tls, tl)
+			ct := obs.NewChromeTrace(fmt.Sprintf("%s on %s (%s-%s) run %d",
+				rs.Workload, rs.Machine, rs.Scheduler, rs.Governor, i+1), traceCap)
+			specs[i].Obs = obs.New(ct)
+			traces = append(traces, ct)
 		}
 	}
 	results, err := experiments.RunGrid(specs,
@@ -303,13 +302,13 @@ func runMain(rs experiments.RunSpec, runs, workers int, cellTO time.Duration, ch
 		}
 		fmt.Printf("wrote %d gauge samples to %s\n", series.Len(), seriesOut)
 	}
-	for i, tl := range tls {
+	for i, ct := range traces {
 		out := runFileName(chromeOut, i+1)
 		f, err := os.Create(out)
 		if err != nil {
 			return err
 		}
-		err = tl.WriteChromeTrace(f)
+		err = ct.WriteJSON(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -317,9 +316,9 @@ func runMain(rs experiments.RunSpec, runs, workers int, cellTO time.Duration, ch
 			return err
 		}
 		fmt.Printf("wrote %d slices, %d decision markers (%d dropped) for run %d/%d to %s\n",
-			len(tl.Slices), len(tl.Instants), tl.Dropped(), i+1, runs, out)
+			ct.Slices(), ct.Markers(), ct.Dropped(), i+1, runs, out)
 	}
-	if len(tls) > 0 {
+	if len(traces) > 0 {
 		fmt.Println("open in ui.perfetto.dev or chrome://tracing")
 	}
 	if rs.Check != nil && rs.Check.Total() > 0 {

@@ -112,10 +112,6 @@ type Config struct {
 	// changes simulation results.
 	SampleEvery sim.Duration
 
-	// Timeline, when non-nil, records execution slices for Chrome-trace
-	// export.
-	Timeline *metrics.Timeline
-
 	// Obs, when non-nil and enabled, receives decision events and counter
 	// updates from every layer (policies, runtime, frequency model). Nil
 	// keeps all instrumentation on the allocation-free fast path.
@@ -318,6 +314,10 @@ type Machine struct {
 	// gauge is the gauge pass's scratch, allocated only when sampling
 	// is on.
 	gauge *gaugeScratch
+
+	// slice is the execution slice recordSlice emits by pointer; the
+	// next slice overwrites it.
+	slice obs.ExecSlice
 
 	// tasks / inFlight back the invariant checker's machine sweep; both
 	// stay nil (and cost nothing) unless Config.Check is set. inFlight

@@ -7,7 +7,6 @@ import (
 	nest "repro/internal/core"
 	"repro/internal/governor"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/proc"
 	"repro/internal/sched"
@@ -326,22 +325,39 @@ func TestWakeLatencyRecorded(t *testing.T) {
 	}
 }
 
+// sliceLog keeps copies of the execution slices a run emits.
+type sliceLog []obs.ExecSlice
+
+func (l *sliceLog) Record(ev obs.Event) {
+	if s, ok := ev.(*obs.ExecSlice); ok {
+		*l = append(*l, *s)
+	}
+}
+
 func TestTimelineRecording(t *testing.T) {
 	spec := machine.IntelXeon6130(2)
-	tl := metrics.NewTimeline(0)
-	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Timeline: tl})
-	m.Spawn("w", proc.Script(
+	var slices sliceLog
+	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Obs: obs.New(&slices)})
+	task := m.Spawn("w", proc.Script(
 		proc.Compute{Cycles: proc.Cycles(5*sim.Millisecond, spec.Nominal)},
 		proc.Sleep{D: sim.Millisecond},
 		proc.Compute{Cycles: proc.Cycles(5*sim.Millisecond, spec.Nominal)},
 	))
 	m.Run(sim.Second)
 	// Two execution slices: before and after the sleep.
-	if len(tl.Slices) != 2 {
-		t.Fatalf("slices = %d, want 2", len(tl.Slices))
+	if len(slices) != 2 {
+		t.Fatalf("slices = %d, want 2", len(slices))
 	}
-	if tl.Slices[0].End <= tl.Slices[0].Start {
-		t.Fatal("empty slice recorded")
+	for _, s := range slices {
+		if s.End <= s.T {
+			t.Fatalf("empty slice recorded: %+v", s)
+		}
+		if s.Task != int(task.ID) || s.TaskName != "w" || s.FreqMHz <= 0 {
+			t.Fatalf("slice = %+v, want task %d named w at a positive frequency", s, task.ID)
+		}
+	}
+	if slices[1].T-slices[0].End < sim.Millisecond {
+		t.Fatalf("slices %+v do not straddle the 1 ms sleep", slices)
 	}
 }
 

@@ -96,6 +96,41 @@ func TestObservedGaugePassAllocs(t *testing.T) {
 	}
 }
 
+// TestObservedSliceAllocs requires an execution slice emitted into a
+// JSONL hub to allocate nothing: recordSlice fills the machine's own
+// ExecSlice and emits a pointer to it, so no copy is boxed.
+func TestObservedSliceAllocs(t *testing.T) {
+	spec := machine.IntelXeon6130(2)
+	jr := obs.NewJSONL(io.Discard)
+	hub := obs.New(jr)
+	m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: nest.Default(), Seed: 1, Obs: hub})
+	benchWorkload(m, spec)
+	m.Run(40 * sim.Millisecond)
+	var cs *coreState
+	for i := range m.cores {
+		if m.cores[i].cur != nil {
+			cs = &m.cores[i]
+			break
+		}
+	}
+	if cs == nil {
+		t.Fatal("no core busy at 40 ms")
+	}
+	now := m.Now()
+	before := hub.Events()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { m.recordSlice(cs.cur, cs.id, now-sim.Millisecond, now) })
+	if got := hub.Events() - before; got != runs+1 { // AllocsPerRun adds a warm-up call
+		t.Fatalf("%d calls emitted %d slices", runs+1, got)
+	}
+	if allocs != 0 {
+		t.Fatalf("an emitted slice allocates %v times, want 0", allocs)
+	}
+	if err := jr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSamplerDisabledAddsNoEvents proves the disabled path records
 // nothing even with sampling configured.
 func TestSamplerDisabledAddsNoEvents(t *testing.T) {

@@ -41,14 +41,13 @@ func DecodeResult(raw json.RawMessage) (*metrics.Result, error) {
 // (Stats, invariant-violation counts), not just side channels.
 //
 // ok is false for cells without a stable identity: an explicit machine
-// Spec (no canonical name), or an attached Timeline (its output goes
-// elsewhere, so replaying the Result alone would silently skip the side
-// effect the caller asked for). Such cells always run. An obs hub is
-// part of the identity but its recorders are not: a replayed cell
-// delivers the Result alone, so a caller that needs a hub's stream (a
-// JSONL file, an obs.Trace) runs the cell without a journal.
+// Spec (no canonical name) or a fault plan that does not parse. Such
+// cells always run. An obs hub is part of the identity but its
+// recorders are not: a replayed cell delivers the Result alone, so a
+// caller that needs a hub's stream (a JSONL file, an obs.Trace, an
+// obs.ChromeTrace) runs the cell without a journal.
 func CellKey(rs RunSpec) (string, bool) {
-	if rs.Spec != nil || rs.Timeline != nil {
+	if rs.Spec != nil {
 		return "", false
 	}
 	plan, err := fault.Parse(rs.Faults)

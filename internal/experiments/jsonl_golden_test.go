@@ -38,8 +38,8 @@ func jsonlGoldens() []jsonlGolden {
 				Faults:      "off:c2@5ms+10ms,throttle:s0@4ms+15ms=1.8GHz,jitter:@3ms+20ms=1ms,spike:@6ms=12x1ms",
 			},
 			probe: true,
-			lines: 7584,
-			sum:   "6903d37137479187c44c9369f49c9d9e0a54ee7bc2690ae9c3931f92e18e373d",
+			lines: 8742,
+			sum:   "8d4ca84dc9c05258b634f138634b4f09a874dad1f86ffc178afd452828c28147",
 		},
 		{
 			name: "overload-codel",
@@ -47,8 +47,8 @@ func jsonlGoldens() []jsonlGolden {
 				Machine: "6130-2", Scheduler: "cfs", Governor: "schedutil",
 				Workload: workload.OverloadMixName(1.5, "codel"), Scale: 0.05, Seed: 7,
 			},
-			lines: 6997,
-			sum:   "022da4f823f0de2cbb81ac75400ba9f169901add55207028a78ed9e51d44d065",
+			lines: 7549,
+			sum:   "14a3a4b964a025d2c13a382f193b729382b33aab02e102e383ea02db07bd2145",
 		},
 		{
 			name: "fanout-hedged",
@@ -56,15 +56,15 @@ func jsonlGoldens() []jsonlGolden {
 				Machine: "6130-2", Scheduler: "nest", Governor: "schedutil",
 				Workload: workload.FanoutMixName(16, 1.2, "p95"), Scale: 0.02, Seed: 3,
 			},
-			lines: 15749,
-			sum:   "e71c7d869619f83e6b7cf388f246b6f356e0f35b46974eb2012449268009e329",
+			lines: 16078,
+			sum:   "caee6afd66bce5467a6bd356d8fea29047836c3735d733a2d5e5ccd90c4bb214",
 		},
 	}
 }
 
 // allKinds is every event kind with a JSONL wire form.
 var allKinds = []string{
-	"run", "placement", "migration", "nest_expand", "nest_compact",
+	"run", "placement", "migration", "slice", "nest_expand", "nest_compact",
 	"impatience", "freq_grant", "governor_request", "fault",
 	"invariant_violation", "tick_balance", "overload", "fanout",
 	"core_gauge", "nest_gauge", "socket_gauge", "underload_gauge",

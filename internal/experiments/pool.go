@@ -41,7 +41,7 @@ type PoolOptions struct {
 	CellTimeout time.Duration
 	// Journal, when non-nil, durably records each completed cell's
 	// encoded result (checkpoint journal). Cells without a stable
-	// identity (explicit Spec, attached Timeline) are run but not
+	// identity (explicit Spec, unparsable fault plan) are run but not
 	// journaled.
 	Journal *checkpoint.Journal
 	// Done maps cell keys (CellKey) to previously journaled results;
@@ -413,7 +413,7 @@ func RepeatSpecs(rs RunSpec, n int) []RunSpec {
 		r := rs
 		r.Seed = rs.Seed + uint64(i)
 		if i > 0 {
-			r.Timeline, r.Obs, r.Check = nil, nil, nil
+			r.Obs, r.Check = nil, nil
 			r.SampleEvery = 0
 		}
 		specs[i] = r

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/invariant"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -191,7 +190,7 @@ func TestRepeatSpecsObserverRule(t *testing.T) {
 		t.Error("first repeat must keep the observers")
 	}
 	for i := 1; i < 3; i++ {
-		if specs[i].Obs != nil || specs[i].Check != nil || specs[i].Timeline != nil {
+		if specs[i].Obs != nil || specs[i].Check != nil {
 			t.Errorf("repeat %d must not carry observers", i)
 		}
 		if specs[i].Seed != rs.Seed+uint64(i) {
@@ -361,7 +360,6 @@ func TestCellKey(t *testing.T) {
 	// Cells without a stable identity refuse a key.
 	for name, mutate := range map[string]func(*RunSpec){
 		"spec":       func(r *RunSpec) { r.Spec = &machine.Spec{} },
-		"timeline":   func(r *RunSpec) { r.Timeline = metrics.NewTimeline(0) },
 		"bad-faults": func(r *RunSpec) { r.Faults = "not a plan" },
 	} {
 		r := smallGrid()[0]

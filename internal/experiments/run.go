@@ -124,7 +124,6 @@ type RunSpec struct {
 	Workload  string // registered workload name
 	Scale     float64
 	Seed      uint64
-	Timeline  *metrics.Timeline
 	// Obs, when non-nil, receives decision events and counters from every
 	// layer of the run (see internal/obs and docs/OBSERVABILITY.md).
 	// Per-tick traces ride it too: attach an obs.Trace or
@@ -233,7 +232,6 @@ func RunOnSpec(spec *machine.Spec, rs RunSpec) (*metrics.Result, error) {
 		Policy:      sf(),
 		Engine:      eng,
 		Seed:        rs.Seed,
-		Timeline:    rs.Timeline,
 		Obs:         rs.Obs,
 		SampleEvery: rs.SampleEvery,
 		Check:       rs.Check,
@@ -303,7 +301,7 @@ func (rs RunSpec) Validate() error {
 const DefaultScale = 0.04
 
 // RunRepeats executes n runs with consecutive seeds and returns all
-// results. Observers (Timeline, Obs and its recorders, Check) are
+// results. Observers (Obs and its recorders, Check) are
 // attached to the first run only: they are single-run collectors, and
 // mixing the events of several seeds into one stream or trace would be
 // unreadable.

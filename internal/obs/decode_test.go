@@ -9,7 +9,9 @@ import (
 )
 
 // allEventKinds emits one fully-populated event of every wire kind, in
-// the form live emission uses: gauges as pointers, the rest as values.
+// the form live emission uses: gauges and slices as pointers, the rest
+// as values. Kinds added later go at the end, so the fuzz seeds that
+// select kinds by index keep their meaning.
 func allEventKinds() []Event {
 	return []Event{
 		RunInfo{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "w", Scale: 0.04, Seed: 1},
@@ -31,13 +33,14 @@ func allEventKinds() []Event {
 		&UnderloadGauge{T: 13 * sim.Millisecond, Underload: 3},
 		RunSummary{Machine: "5218", Scheduler: "nest", Governor: "schedutil", Workload: "w", Seed: 1,
 			RuntimeNS: int64(2 * sim.Second), EnergyJ: 12.5, WakeP50: 1000, WakeP95: 5000, WakeP99: 9000, WakeP999: 20000, Wakeups: 123},
+		&ExecSlice{T: 14 * sim.Millisecond, End: 15 * sim.Millisecond, Core: 3, Task: 7, TaskName: "h-0", FreqMHz: 3700},
 	}
 }
 
 // TestDecodeRoundTrip encodes one event of every kind to JSONL, decodes
 // each line, and re-encodes: the bytes must match exactly, and the
 // decoded events must be the same concrete types live emission produces
-// (pointers for the gauge kinds) holding equal values.
+// (pointers for the gauge kinds and slices) holding equal values.
 // This also forces every wire kind to have a decodable entry.
 func TestDecodeRoundTrip(t *testing.T) {
 	events := allEventKinds()

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -97,53 +96,58 @@ func TestExplainGaugeSparkline(t *testing.T) {
 	}
 }
 
-// ---- TimelineRecorder edge cases ------------------------------------
+// ---- Timeline (ChromeTrace) recorder edge cases ---------------------
 
 func TestTimelineRecorderEmptyStream(t *testing.T) {
-	tl := metrics.NewTimeline(0)
-	_ = NewTimelineRecorder(tl)
-	if len(tl.Instants) != 0 || len(tl.Counters) != 0 {
-		t.Fatal("recorder construction must not touch the timeline")
+	ct := NewChromeTrace("", 0)
+	if ct.Slices() != 0 || ct.Markers() != 0 || len(ct.sizes) != 0 || ct.Dropped() != 0 {
+		t.Fatal("a new trace must hold nothing")
+	}
+	var b strings.Builder
+	if err := ct.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"traceEvents":[{"name":"process_name","ph":"M","ts":0,"dur":0,"pid":0,"tid":0,"args":{"name":"nest-sim"}}],"displayTimeUnit":"ms"}` + "\n"
+	if b.String() != want {
+		t.Fatalf("empty trace = %s, want %s", b.String(), want)
 	}
 }
 
 func TestTimelineRecorderSingleEvent(t *testing.T) {
-	tl := metrics.NewTimeline(0)
-	r := NewTimelineRecorder(tl)
-	r.Record(PlacementDecision{T: 4 * sim.Millisecond, Sched: "nest", Path: "attached", Core: 3, Task: 7})
-	if len(tl.Instants) != 1 {
-		t.Fatalf("instants = %d, want 1", len(tl.Instants))
+	ct := NewChromeTrace("", 0)
+	ct.Record(PlacementDecision{T: 4 * sim.Millisecond, Sched: "nest", Path: "attached", Core: 3, Task: 7})
+	if ct.Markers() != 1 {
+		t.Fatalf("markers = %d, want 1", ct.Markers())
 	}
-	in := tl.Instants[0]
-	if in.Core != 3 || in.TS != 4*sim.Millisecond || !strings.Contains(in.Name, "nest:attached") {
-		t.Fatalf("instant = %+v", in)
+	in := ct.marks[0]
+	if in.TID != 3 || in.TS != 4000 || !strings.Contains(in.Name, "nest:attached") {
+		t.Fatalf("marker = %+v", in)
 	}
-	// Events with no timeline representation must be dropped silently.
-	r.Record(ImpatienceTrip{T: 5 * sim.Millisecond, Task: 7})
-	r.Record(&CoreGauge{T: 5 * sim.Millisecond, Core: 0, State: "busy"})
-	if len(tl.Instants) != 1 || len(tl.Counters) != 0 {
-		t.Fatal("non-timeline events leaked into the timeline")
+	// Events with no trace representation must be dropped silently.
+	ct.Record(ImpatienceTrip{T: 5 * sim.Millisecond, Task: 7})
+	ct.Record(&CoreGauge{T: 5 * sim.Millisecond, Core: 0, State: "busy"})
+	if ct.Markers() != 1 || ct.Slices() != 0 || len(ct.sizes) != 0 {
+		t.Fatal("non-trace events leaked into the trace")
 	}
 }
 
 func TestTimelineRecorderOutOfOrder(t *testing.T) {
-	tl := metrics.NewTimeline(0)
-	r := NewTimelineRecorder(tl)
+	ct := NewChromeTrace("", 0)
 	// Nest events can arrive out of order across cores; the recorder must
-	// record them as given (the Chrome trace sorts on render).
-	r.Record(NestExpand{T: 8 * sim.Millisecond, Primary: 2, Reserve: 1})
-	r.Record(NestCompact{T: 3 * sim.Millisecond, Primary: 1, Reserve: 2, To: "reserve"})
-	if len(tl.Counters) != 2 {
-		t.Fatalf("counter samples = %d, want 2", len(tl.Counters))
+	// keep them as given.
+	ct.Record(NestExpand{T: 8 * sim.Millisecond, Primary: 2, Reserve: 1})
+	ct.Record(NestCompact{T: 3 * sim.Millisecond, Primary: 1, Reserve: 2, To: "reserve"})
+	if len(ct.sizes) != 2 {
+		t.Fatalf("counter samples = %d, want 2", len(ct.sizes))
 	}
-	if tl.Counters[0].TS != 8*sim.Millisecond || tl.Counters[1].TS != 3*sim.Millisecond {
-		t.Fatalf("samples reordered: %v then %v", tl.Counters[0].TS, tl.Counters[1].TS)
+	if ct.sizes[0].TS != 8000 || ct.sizes[1].TS != 3000 {
+		t.Fatalf("samples reordered: %v then %v", ct.sizes[0].TS, ct.sizes[1].TS)
 	}
-	if tl.Counters[1].Values["primary"] != 1 || tl.Counters[1].Values["reserve"] != 2 {
-		t.Fatalf("values = %v", tl.Counters[1].Values)
+	if ct.sizes[1].Args["primary"] != 1.0 || ct.sizes[1].Args["reserve"] != 2.0 {
+		t.Fatalf("values = %v", ct.sizes[1].Args)
 	}
-	r.Record(Migration{T: 1 * sim.Millisecond, Task: 7, From: 0, To: 1})
-	if len(tl.Instants) != 1 || tl.Instants[0].TS != 1*sim.Millisecond {
-		t.Fatalf("instants = %+v", tl.Instants)
+	ct.Record(Migration{T: 1 * sim.Millisecond, Task: 7, From: 0, To: 1})
+	if ct.Markers() != 1 || ct.marks[0].TS != 1000 || ct.marks[0].TID != 1 {
+		t.Fatalf("markers = %+v", ct.marks)
 	}
 }

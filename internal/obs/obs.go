@@ -1,6 +1,6 @@
 // Package obs is the scheduler observability layer: typed decision
 // events, a run-wide counter registry, and exporters (JSONL, Prometheus
-// text exposition, Chrome-trace annotation, ASCII explain summaries).
+// text exposition, Chrome/Perfetto traces, ASCII explain summaries).
 //
 // The paper's argument is diagnostic — Figures 2/3/8/9 explain *which*
 // heuristic path dispersed a task and *why* Nest kept it warm — so the
@@ -17,10 +17,10 @@
 //		h.Emit(obs.PlacementDecision{T: m.Now(), Sched: "cfs", ...})
 //	}
 //
-// The per-tick gauges are the bulk of an observed stream, so the
-// sampler fills a value it owns and emits a pointer to it instead
-// (h.Emit(&g.core)); the interface then holds the pointer and nothing
-// is allocated.
+// The per-tick gauges and the execution slices are the bulk of an
+// observed stream, so the runtime fills a value it owns and emits a
+// pointer to it instead (h.Emit(&g.core), h.Emit(&m.slice)); the
+// interface then holds the pointer and nothing is allocated.
 //
 // The counter registry (Counters) is safe for concurrent use; recorders
 // are not, matching the single-goroutine simulation loop.
@@ -50,16 +50,16 @@ type Event interface {
 }
 
 // Recorder receives every emitted event. Implementations in this package:
-// JSONLRecorder, Explain, TimelineRecorder, SeriesBuffer, Trace.
+// JSONLRecorder, Explain, ChromeTrace, SeriesBuffer, Trace.
 // Recorders run synchronously inside the simulation loop and need not be
 // concurrency-safe.
 //
 // An event is valid only for the duration of Record. The gauge kinds
-// arrive as pointers (*CoreGauge, *NestGauge, *SocketGauge,
-// *UnderloadGauge), live and decoded alike, and the sampler reuses the
-// pointed-to value for the next gauge of its batch. A recorder that
-// keeps an event past Record must therefore copy the value, never the
-// pointer or the interface.
+// and execution slices arrive as pointers (*CoreGauge, *NestGauge,
+// *SocketGauge, *UnderloadGauge, *ExecSlice), live and decoded alike,
+// and the runtime reuses the pointed-to value for the next event of its
+// kind. A recorder that keeps an event past Record must therefore copy
+// the value, never the pointer or the interface.
 type Recorder interface {
 	Record(ev Event)
 }
@@ -267,6 +267,39 @@ func (e Migration) appendJSON(b []byte) ([]byte, error) {
 	if e.Reason != "" {
 		b = appendString(b, `,"reason":`, e.Reason)
 	}
+	return closeLine(b), nil
+}
+
+// ExecSlice is one contiguous execution of a task on a core, from T to
+// End, emitted when the task leaves the core (sleep, block, exit,
+// preemption or hotplug eviction). FreqMHz is the core's frequency when
+// the slice ended, a cheap summary: frequency can move within a slice.
+// Like the gauges it travels as a pointer (*ExecSlice) to a value the
+// runtime reuses. It bumps no counter: Counters.CtxSwitches in the
+// run's result already tallies context switches.
+type ExecSlice struct {
+	T        sim.Time `json:"t_ns"`
+	End      sim.Time `json:"end_ns"`
+	Core     int      `json:"core"`
+	Task     int      `json:"task"`
+	TaskName string   `json:"task_name,omitempty"`
+	FreqMHz  int      `json:"freq_mhz"`
+}
+
+// Kind implements Event.
+func (ExecSlice) Kind() string { return "slice" }
+
+func (ExecSlice) count(*Counters) {}
+
+func (e ExecSlice) appendJSON(b []byte) ([]byte, error) {
+	b = appendInt(append(b, `{"ev":"slice"`...), `,"t_ns":`, int64(e.T))
+	b = appendInt(b, `,"end_ns":`, int64(e.End))
+	b = appendInt(b, `,"core":`, int64(e.Core))
+	b = appendInt(b, `,"task":`, int64(e.Task))
+	if e.TaskName != "" {
+		b = appendString(b, `,"task_name":`, e.TaskName)
+	}
+	b = appendInt(b, `,"freq_mhz":`, int64(e.FreqMHz))
 	return closeLine(b), nil
 }
 
