@@ -24,23 +24,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes the CFS model.
+// Config holds the two extensions Nest turns on when it runs this code
+// as its fallback. The zero value is plain Linux v5.9 CFS.
 type Config struct {
-	// NUMAImbalance is the number of runnable tasks' worth of load a
-	// socket may exceed the idlest socket by before fork spills to it,
-	// modelling the kernel's allowed NUMA imbalance.
-	NUMAImbalance float64
-	// ScanLimit bounds the wakeup search for an idle core on the die
-	// after the fully-idle-physical-core scan fails.
-	ScanLimit int
-	// FixedCost is the base placement cost charged per selection.
-	FixedCost sim.Duration
 	// WorkConservingWakeup extends the wakeup search to all dies when the
 	// target die has no idle core — Nest's §3.4 extension; off in CFS.
 	WorkConservingWakeup bool
-	// SyncAffine lets a synchronous wakeup whose waker is alone on its
-	// core pull the wakee to the waker, as wake_affine does.
-	SyncAffine bool
 	// RespectClaims makes idle checks honour the §3.4 placement flag.
 	// Plain CFS does not look at it — simultaneous placements can stack —
 	// but when this code runs as Nest's fallback the whole path checks
@@ -48,15 +37,8 @@ type Config struct {
 	RespectClaims bool
 }
 
-// DefaultConfig returns the values matching Linux v5.9 behaviour.
-func DefaultConfig() Config {
-	return Config{
-		NUMAImbalance: 2.0,
-		ScanLimit:     6,
-		FixedCost:     300 * sim.Nanosecond,
-		SyncAffine:    true,
-	}
-}
+// fixedCost is the base placement cost charged per selection.
+const fixedCost = 300 * sim.Nanosecond
 
 // Policy is the CFS placement policy.
 type Policy struct {
@@ -84,23 +66,11 @@ func (p *Policy) markPhys(n, phys int) bool {
 	return false
 }
 
-// New returns a CFS policy with cfg (zero fields take defaults).
-func New(cfg Config) *Policy {
-	def := DefaultConfig()
-	if cfg.NUMAImbalance == 0 {
-		cfg.NUMAImbalance = def.NUMAImbalance
-	}
-	if cfg.ScanLimit == 0 {
-		cfg.ScanLimit = def.ScanLimit
-	}
-	if cfg.FixedCost == 0 {
-		cfg.FixedCost = def.FixedCost
-	}
-	return &Policy{cfg: cfg}
-}
+// New returns a CFS policy with cfg.
+func New(cfg Config) *Policy { return &Policy{cfg: cfg} }
 
 // Default returns a CFS policy with kernel-default behaviour.
-func Default() *Policy { return New(DefaultConfig()) }
+func Default() *Policy { return New(Config{}) }
 
 // Name implements sched.Policy.
 func (p *Policy) Name() string { return "cfs" }
@@ -117,13 +87,18 @@ func (p *Policy) idle(m sched.Machine, c machine.CoreID) bool {
 	return true
 }
 
+// numaImbalance is the number of runnable tasks' worth of load a socket
+// may exceed the idlest socket by before fork spills to it, modelling the
+// kernel's allowed NUMA imbalance.
+const numaImbalance = 2.0
+
 // SelectCoreFork implements the fork path (§2.1): idlest socket with the
 // NUMA-imbalance allowance, then the idlest physical core scanning in
 // wrap order from the forking core, then the idlest hardware thread.
 func (p *Policy) SelectCoreFork(m sched.Machine, parent, child *proc.Task, parentCore machine.CoreID) machine.CoreID {
 	topo := m.Topo()
 	examined := 0
-	defer func() { m.ChargeSearch(examined, p.cfg.FixedCost) }()
+	defer func() { m.ChargeSearch(examined, fixedCost) }()
 
 	// NUMA level: compare stale per-socket runnable counts. The home
 	// socket keeps the fork while its excess over the idlest socket is
@@ -134,7 +109,7 @@ func (p *Policy) SelectCoreFork(m sched.Machine, parent, child *proc.Task, paren
 	// (the paper's occasional multi-socket h2 runs, Figure 9).
 	home := topo.Socket(parentCore)
 	running := m.SocketRunning()
-	allowance := p.cfg.NUMAImbalance
+	allowance := numaImbalance
 	if q := float64(topo.PhysPerSocket()) / 8; q > allowance {
 		allowance = q
 	}
@@ -213,7 +188,7 @@ func (p *Policy) SelectCoreFork(m sched.Machine, parent, child *proc.Task, paren
 func (p *Policy) SelectCoreWakeup(m sched.Machine, t *proc.Task, wakerCore machine.CoreID, sync bool) machine.CoreID {
 	examined := 0
 	chosen, path, reason := p.wakeupChoose(m, t, wakerCore, sync, &examined)
-	m.ChargeSearch(examined, p.cfg.FixedCost)
+	m.ChargeSearch(examined, fixedCost)
 	if h := m.Obs(); h.Enabled() {
 		h.Emit(obs.PlacementDecision{
 			T: m.Now(), Sched: p.Name(), Task: int(t.ID), TaskName: t.Name,
@@ -222,6 +197,10 @@ func (p *Policy) SelectCoreWakeup(m sched.Machine, t *proc.Task, wakerCore machi
 	}
 	return chosen
 }
+
+// scanLimit bounds the wakeup search for an idle core on the die after
+// the fully-idle-physical-core scan fails.
+const scanLimit = 6
 
 // wakeupChoose performs the wakeup search and names the heuristic path
 // that produced the choice (for the observability layer).
@@ -237,8 +216,9 @@ func (p *Policy) wakeupChoose(m sched.Machine, t *proc.Task, wakerCore machine.C
 	target, targetPath := prev, "prev"
 	*examined++
 	if !p.idle(m, prev) {
-		if sync && p.cfg.SyncAffine && m.QueueLen(wakerCore) <= 1 {
-			// Synchronous handoff: the waker is about to block.
+		if sync && m.QueueLen(wakerCore) <= 1 {
+			// Synchronous handoff, as wake_affine does: the waker is
+			// alone on its core and about to block.
 			target, targetPath = wakerCore, "sync_affine"
 		} else {
 			loads := m.SocketLoads()
@@ -271,7 +251,7 @@ func (p *Policy) wakeupChoose(m sched.Machine, t *proc.Task, wakerCore machine.C
 	}
 
 	// Bounded scan for any idle core on the die.
-	limit := p.cfg.ScanLimit
+	limit := scanLimit
 	for _, c := range scan {
 		if limit == 0 {
 			break

@@ -126,9 +126,7 @@ func TestWakeupWorkConservingExtension(t *testing.T) {
 	}
 	f.SockLoad[0] = 2
 	f.SockLoad[1] = 2
-	cfg := DefaultConfig()
-	cfg.WorkConservingWakeup = true
-	p := New(cfg)
+	p := New(Config{WorkConservingWakeup: true})
 	task := schedtest.NewTask(1, 3, 3)
 	got := p.SelectCoreWakeup(f, task, 5, false)
 	if spec.Topo.Socket(got) != 1 {

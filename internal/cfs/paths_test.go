@@ -143,9 +143,7 @@ func TestWakeupNeverPicksOutOfRange(t *testing.T) {
 				fake.SetBusy(machine.CoreID(c), r.Float64())
 			}
 		}
-		cfg := DefaultConfig()
-		cfg.WorkConservingWakeup = wc
-		p := New(cfg)
+		p := New(Config{WorkConservingWakeup: wc})
 		prev := machine.CoreID(int(prevRaw) % topo.NumCores())
 		waker := machine.CoreID(int(wakerRaw) % topo.NumCores())
 		got := p.SelectCoreWakeup(fake, schedtest.NewTask(1, prev, prev), waker, sync)
@@ -161,8 +159,7 @@ func TestWakeupNeverPicksOutOfRange(t *testing.T) {
 func TestWorkConservingFindsLoneIdleCore(t *testing.T) {
 	spec := machine.IntelXeon6130(4)
 	topo := spec.Topo
-	cfg := DefaultConfig()
-	cfg.WorkConservingWakeup = true
+	cfg := Config{WorkConservingWakeup: true}
 	for _, hole := range []machine.CoreID{0, 17, 63, 64, 100, 127} {
 		f := schedtest.NewFake(spec)
 		for c := 0; c < topo.NumCores(); c++ {
@@ -190,10 +187,7 @@ func TestClaimsRespectedAcrossWholePath(t *testing.T) {
 	for c := 0; c < spec.Topo.NumCores(); c++ {
 		f.ClaimedV[machine.CoreID(c)] = true
 	}
-	cfg := DefaultConfig()
-	cfg.RespectClaims = true
-	cfg.WorkConservingWakeup = true
-	p := New(cfg)
+	p := New(Config{RespectClaims: true, WorkConservingWakeup: true})
 	got := p.SelectCoreWakeup(f, schedtest.NewTask(1, 7, 7), 3, false)
 	if got < 0 || int(got) >= spec.Topo.NumCores() {
 		t.Fatalf("invalid core %d", got)

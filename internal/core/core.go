@@ -33,10 +33,6 @@ type Config struct {
 	RImpatient int
 	// SMax is the maximum idle spin duration (Table 1: 2 ticks = 8 ms).
 	SMax sim.Duration
-	// FixedCost is the base placement cost of Nest's selection code,
-	// larger than CFS's (§5.6: "Nest adds a lot of code to core
-	// selection").
-	FixedCost sim.Duration
 
 	// Ablation toggles.
 	DisableReserve          bool // CFS-chosen cores join the primary nest directly
@@ -46,9 +42,6 @@ type Config struct {
 	DisableWorkConservation bool // keep CFS's die-local wakeup search
 	DisableImpatience       bool // never expand the nest for bouncing tasks
 	DisableClaimCheck       bool // ignore the placement flag during searches
-
-	// CFS configures the fallback policy.
-	CFS cfs.Config
 }
 
 // DefaultConfig returns the Table 1 parameter values.
@@ -58,8 +51,6 @@ func DefaultConfig() Config {
 		RMax:       5,
 		RImpatient: 2,
 		SMax:       2 * sim.Tick,
-		FixedCost:  800 * sim.Nanosecond,
-		CFS:        cfs.DefaultConfig(),
 	}
 }
 
@@ -122,12 +113,11 @@ func New(cfg Config) *Policy {
 	if cfg.SMax == 0 {
 		cfg.SMax = def.SMax
 	}
-	if cfg.FixedCost == 0 {
-		cfg.FixedCost = def.FixedCost
-	}
-	cfg.CFS.WorkConservingWakeup = !cfg.DisableWorkConservation
-	cfg.CFS.RespectClaims = !cfg.DisableClaimCheck
-	return &Policy{cfg: cfg, cfs: cfs.New(cfg.CFS)}
+	fallback := cfs.New(cfs.Config{
+		WorkConservingWakeup: !cfg.DisableWorkConservation,
+		RespectClaims:        !cfg.DisableClaimCheck,
+	})
+	return &Policy{cfg: cfg, cfs: fallback}
 }
 
 // Default returns Nest with the paper's Table 1 parameters.
@@ -297,6 +287,10 @@ func (p *Policy) emitPlacement(m sched.Machine, t *proc.Task, c machine.CoreID, 
 	}
 }
 
+// fixedCost is the base placement cost of Nest's selection code, larger
+// than CFS's (§5.6: "Nest adds a lot of code to core selection").
+const fixedCost = 800 * sim.Nanosecond
+
 // selectCore is the Figure 1 search path shared by fork and wakeup. ref
 // is the task's previous core (the parent's core for a fork); fallback
 // performs the CFS selection if both nests fail.
@@ -304,7 +298,7 @@ func (p *Policy) selectCore(m sched.Machine, t *proc.Task, ref machine.CoreID, f
 	p.ensure(m, ref)
 	now := m.Now()
 	examined := 0
-	defer func() { m.ChargeSearch(examined, p.cfg.FixedCost) }()
+	defer func() { m.ChargeSearch(examined, fixedCost) }()
 
 	// First choice: the attached core (§3.3), reclaimable even when
 	// compaction-eligible as long as it is still in the primary nest.

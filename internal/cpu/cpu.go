@@ -24,85 +24,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Overheads model the cost of scheduler code paths. The hackbench result
-// (§5.6) — where Nest's longer core-selection path and the
-// instruction-cache misses of stacking many tasks on few cores cause a
-// slowdown — flows entirely from these.
-type Overheads struct {
-	// PlacementLatency is the select-to-enqueue delay during which the
-	// destination's placement flag protects against collisions.
-	PlacementLatency sim.Duration
-	// PerCoreSearch is charged per core examined during placement.
-	PerCoreSearch sim.Duration
-	// CtxSwitch is the warm context-switch cost.
-	CtxSwitch sim.Duration
-	// ColdSwitch is the extra cost when the incoming task's working set
-	// is no longer in the instruction cache.
-	ColdSwitch sim.Duration
-	// Fork is charged to the parent for each fork.
-	Fork sim.Duration
-	// Migration is charged to a task scheduled in on a different core
-	// than its last one.
-	Migration sim.Duration
-}
-
-// DefaultOverheads returns costs in the range measured on real servers.
-func DefaultOverheads() Overheads {
-	return Overheads{
-		PlacementLatency: 1500 * sim.Nanosecond,
-		PerCoreSearch:    40 * sim.Nanosecond,
-		CtxSwitch:        1200 * sim.Nanosecond,
-		ColdSwitch:       3500 * sim.Nanosecond,
-		Fork:             25 * sim.Microsecond,
-		Migration:        2 * sim.Microsecond,
-	}
-}
-
 // Config assembles one run.
 type Config struct {
 	Spec   *machine.Spec
 	Gov    governor.Governor
 	Policy sched.Policy
 	Seed   uint64
-
-	// Overheads default to DefaultOverheads when zero.
-	Overheads *Overheads
-
-	// TimeSlice is the preemption quantum checked at each tick.
-	TimeSlice sim.Duration
-
-	// ActiveWindow is the lookback the hardware uses to count a socket's
-	// active cores for the turbo budget. Tasks bouncing across many
-	// cores keep them all "recently active", lowering every core's cap —
-	// the mechanism that punishes CFS's dispersal even when only a
-	// couple of tasks run at any instant.
-	ActiveWindow sim.Duration
-
-	// BalanceEvery is the idle-balance period in ticks per core.
-	BalanceEvery int
-
-	// SpinUtilSpeedShift / SpinUtilSpeedStep are the activity levels the
-	// hardware credits an idle-spinning core with. On Speed Shift parts
-	// the spin keeps the core looking fully busy; the Broadwell
-	// estimator discounts it — §5.3: "Even Nest's spinning is not
-	// sufficient to defeat this tendency" on the E7-8870 v4.
-	SpinUtilSpeedShift float64
-	SpinUtilSpeedStep  float64
-
-	// NewTaskUtil seeds a forked task's utilisation, mirroring the
-	// kernel's post_init_entity_util_avg.
-	NewTaskUtil float64
-
-	// SMTFactor is each hardware thread's throughput when its sibling is
-	// also busy (two threads share one physical core's pipeline).
-	SMTFactor float64
-
-	// DeepIdleAfter is how long a core idles before entering a deep
-	// C-state; DeepIdleExit is the wake latency it then pays before the
-	// placed task starts. The fork path's "expected time to wake from
-	// idle states" consideration (§2.1) keys off this.
-	DeepIdleAfter sim.Duration
-	DeepIdleExit  sim.Duration
 
 	// SampleEvery, when positive, emits periodic gauge events (per-core
 	// state/frequency/queue depth, nest sizes, per-socket busy share)
@@ -128,44 +55,6 @@ type Config struct {
 	// invariants of internal/invariant. It costs a full machine sweep
 	// per event; nil keeps the run on the fast path.
 	Check *invariant.Checker
-
-	// OnTaskExit, when non-nil, observes every task exit (for workload
-	// request-latency accounting).
-	OnTaskExit func(*proc.Task)
-}
-
-func (c *Config) fillDefaults() {
-	if c.Overheads == nil {
-		o := DefaultOverheads()
-		c.Overheads = &o
-	}
-	if c.TimeSlice == 0 {
-		c.TimeSlice = 6 * sim.Millisecond
-	}
-	if c.ActiveWindow == 0 {
-		c.ActiveWindow = 20 * sim.Millisecond
-	}
-	if c.BalanceEvery == 0 {
-		c.BalanceEvery = 2
-	}
-	if c.SpinUtilSpeedShift == 0 {
-		c.SpinUtilSpeedShift = 1.0
-	}
-	if c.SpinUtilSpeedStep == 0 {
-		c.SpinUtilSpeedStep = 0.35
-	}
-	if c.NewTaskUtil == 0 {
-		c.NewTaskUtil = 0.55
-	}
-	if c.SMTFactor == 0 {
-		c.SMTFactor = 0.62
-	}
-	if c.DeepIdleAfter == 0 {
-		c.DeepIdleAfter = 5 * sim.Millisecond
-	}
-	if c.DeepIdleExit == 0 {
-		c.DeepIdleExit = 60 * sim.Microsecond
-	}
 }
 
 // coreState is the runtime state of one hardware thread.
@@ -260,18 +149,15 @@ type Machine struct {
 	queuedTasks int
 
 	// Per-tick scratch, allocated once.
-	physActive []bool
 	sockActive []int
 	sockMaxF   []machine.FreqMHz
 
-	// physOf caches each core's physical-core index (Topology.Core(c)
-	// copies the whole descriptor, too heavy for the per-dispatch
-	// activity scans). sibOf and sockOf cache the SMT sibling and
-	// socket the same way for the dispatch path; physReps holds one
-	// representative hardware thread per physical core, per socket, so
-	// the turbo-budget activity scan visits each physical core once
-	// (its sibling only when the representative is idle).
-	physOf   []int
+	// sibOf and sockOf cache each core's SMT sibling and socket
+	// (Topology.Core(c) copies the whole descriptor, too heavy for the
+	// dispatch path); physReps holds one representative hardware thread
+	// per physical core, per socket, so the turbo-budget activity scan
+	// visits each physical core once (its sibling only when the
+	// representative is idle).
 	sibOf    []machine.CoreID
 	sockOf   []int
 	physReps [][]machine.CoreID
@@ -319,6 +205,9 @@ type Machine struct {
 	// next slice overwrites it.
 	slice obs.ExecSlice
 
+	// onExit, when non-nil, observes every task exit (see OnExit).
+	onExit func(*proc.Task)
+
 	// tasks / inFlight back the invariant checker's machine sweep; both
 	// stay nil (and cost nothing) unless Config.Check is set. inFlight
 	// counts placements between core selection and enqueue per task.
@@ -328,7 +217,6 @@ type Machine struct {
 
 // New builds a machine from cfg.
 func New(cfg Config) *Machine {
-	cfg.fillDefaults()
 	if cfg.Spec == nil || cfg.Gov == nil || cfg.Policy == nil {
 		panic("cpu: Config needs Spec, Gov and Policy")
 	}
@@ -358,13 +246,12 @@ func New(cfg Config) *Machine {
 		// once and never reallocated.
 		m.cores[i].comp = completionRunner{m: m, c: machine.CoreID(i)}
 	}
-	m.physActive = make([]bool, m.topo.NumPhysical())
-	m.physOf = make([]int, len(m.cores))
+	physOf := make([]int, len(m.cores))
 	m.sibOf = make([]machine.CoreID, len(m.cores))
 	m.sockOf = make([]int, len(m.cores))
 	for i := range m.cores {
 		c := m.topo.Core(machine.CoreID(i))
-		m.physOf[i] = c.Physical
+		physOf[i] = c.Physical
 		m.sibOf[i] = c.Sibling
 		m.sockOf[i] = c.Socket
 	}
@@ -373,7 +260,7 @@ func New(cfg Config) *Machine {
 	for s := 0; s < m.topo.NumSockets(); s++ {
 		m.physReps[s] = make([]machine.CoreID, 0, m.topo.PhysPerSocket())
 		for _, c := range m.topo.SocketCores(s) {
-			if p := m.physOf[c]; !seen[p] {
+			if p := physOf[c]; !seen[p] {
 				seen[p] = true
 				m.physReps[s] = append(m.physReps[s], c)
 			}
@@ -431,8 +318,8 @@ func (m *Machine) Checker() *invariant.Checker { return m.cfg.Check }
 // OnExit registers an additional task-exit observer (multi-application
 // workloads use it to record per-application completion times).
 func (m *Machine) OnExit(fn func(*proc.Task)) {
-	prev := m.cfg.OnTaskExit
-	m.cfg.OnTaskExit = func(t *proc.Task) {
+	prev := m.onExit
+	m.onExit = func(t *proc.Task) {
 		if prev != nil {
 			prev(t)
 		}
@@ -450,6 +337,10 @@ func (m *Machine) Spawn(name string, b proc.Behavior) *proc.Task {
 	return t
 }
 
+// newTaskUtil seeds a new task's utilisation, mirroring the kernel's
+// post_init_entity_util_avg.
+const newTaskUtil = 0.55
+
 func (m *Machine) newTask(name string, b proc.Behavior, parent *proc.Task) *proc.Task {
 	m.nextID++
 	t := &proc.Task{
@@ -466,7 +357,7 @@ func (m *Machine) newTask(name string, b proc.Behavior, parent *proc.Task) *proc
 	// A forked task inherits its parent's utilisation, as the kernel's
 	// post_init_entity_util_avg seeds new tasks from the runqueue: the
 	// children of a busy shell immediately look busy to schedutil.
-	seed := m.cfg.NewTaskUtil
+	seed := newTaskUtil
 	if parent != nil {
 		if pu := parent.Util.Value(m.eng.Now()); pu > seed {
 			seed = pu

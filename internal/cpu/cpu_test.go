@@ -384,25 +384,35 @@ func TestExecReplacesTask(t *testing.T) {
 }
 
 func TestDeepIdleExitLatency(t *testing.T) {
-	// A placement onto a long-idle core pays the C-state exit latency:
-	// disabling it must shorten the run by roughly that latency.
+	// The task wakes from its sleep onto its previous core. After a
+	// 20 ms sleep that core sits in a deep C-state and the task starts
+	// placementLatency+deepIdleExit after the wake; after 1 ms it is
+	// still shallow and only the placement latency applies.
 	spec := machine.IntelXeon6130(2)
-	run := func(exit sim.Duration) sim.Time {
+	work := proc.Cycles(500*sim.Microsecond, spec.Nominal)
+	for _, tc := range []struct {
+		sleep, delay sim.Duration
+	}{
+		{20 * sim.Millisecond, placementLatency + deepIdleExit},
+		{sim.Millisecond, placementLatency},
+	} {
+		var slices sliceLog
 		m := New(Config{
 			Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(),
-			Seed: 1, DeepIdleExit: exit,
+			Seed: 1, Obs: obs.New(&slices),
 		})
-		work := proc.Cycles(500*sim.Microsecond, spec.Nominal)
 		m.Spawn("w", proc.Script(
 			proc.Compute{Cycles: work},
-			proc.Sleep{D: 20 * sim.Millisecond}, // deep idle entered
+			proc.Sleep{D: tc.sleep},
 			proc.Compute{Cycles: work},
 		))
-		return m.Run(sim.Second).Runtime
-	}
-	fast := run(sim.Nanosecond) // effectively off (0 means default)
-	slow := run(200 * sim.Microsecond)
-	if slow-fast < 150*sim.Microsecond {
-		t.Fatalf("deep-idle exit not charged: %v vs %v", slow, fast)
+		m.Run(sim.Second)
+		if len(slices) != 2 {
+			t.Fatalf("sleep %v: slices = %d, want 2", tc.sleep, len(slices))
+		}
+		wake := slices[0].End + tc.sleep
+		if got := slices[1].T - wake; got != tc.delay {
+			t.Fatalf("sleep %v: second slice starts %v after the wake, want %v", tc.sleep, got, tc.delay)
+		}
 	}
 }

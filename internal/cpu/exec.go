@@ -9,6 +9,26 @@ import (
 	"repro/internal/sim"
 )
 
+// Scheduler code-path overheads, in the range measured on real servers.
+// The hackbench result (§5.6) — where Nest's longer core-selection path
+// and the instruction-cache misses of stacking many tasks on few cores
+// cause a slowdown — flows entirely from these (with perCoreSearch).
+const (
+	// placementLatency is the select-to-enqueue delay during which the
+	// destination's placement flag protects against collisions.
+	placementLatency = 1500 * sim.Nanosecond
+	// ctxSwitch is the warm context-switch cost.
+	ctxSwitch = 1200 * sim.Nanosecond
+	// coldSwitch is the extra cost when the incoming task's working set
+	// is no longer in the instruction cache.
+	coldSwitch = 3500 * sim.Nanosecond
+	// forkCost is charged to the parent for each fork.
+	forkCost = 25 * sim.Microsecond
+	// migrationCost is charged to a task scheduled in on a different
+	// core than its last one.
+	migrationCost = 2 * sim.Microsecond
+)
+
 // takePendingSearch collects the cost the policy charged during the last
 // core selection.
 func (m *Machine) takePendingSearch() sim.Duration {
@@ -36,7 +56,7 @@ func (m *Machine) placeFork(parent *proc.Task, parentCore machine.CoreID, child 
 	cost := m.takePendingSearch()
 	m.res.Counters.Forks++
 	if parent != nil {
-		m.chargeCycles(parent, parentCore, cost+m.cfg.Overheads.Fork)
+		m.chargeCycles(parent, parentCore, cost+forkCost)
 	}
 	m.dispatch(child, target)
 }
@@ -51,6 +71,15 @@ func (m *Machine) placeWakeup(t *proc.Task, wakerCore machine.CoreID, sync bool)
 	return cost
 }
 
+// deepIdleAfter is how long a core idles before entering a deep C-state;
+// deepIdleExit is the wake latency it then pays before the placed task
+// starts. The fork path's "expected time to wake from idle states"
+// consideration (§2.1) keys off this.
+const (
+	deepIdleAfter = 5 * sim.Millisecond
+	deepIdleExit  = 60 * sim.Microsecond
+)
+
 // dispatch claims the target core and enqueues the task after the
 // placement latency — the window in which a concurrent placement to the
 // same core is a collision.
@@ -60,13 +89,13 @@ func (m *Machine) dispatch(t *proc.Task, target machine.CoreID) {
 		m.res.Counters.Collisions++
 	}
 	cs.claimed = true
-	delay := m.cfg.Overheads.PlacementLatency
+	delay := placementLatency
 	// A core in a deep C-state pays its exit latency before the task
 	// can start (spinning cores never enter one — part of the point of
 	// keeping the nest warm).
 	if cs.cur == nil && cs.spinUntil <= m.eng.Now() &&
-		m.eng.Now()-cs.idleSince >= m.cfg.DeepIdleAfter {
-		delay += m.cfg.DeepIdleExit
+		m.eng.Now()-cs.idleSince >= deepIdleAfter {
+		delay += deepIdleExit
 	}
 	if m.inFlight != nil {
 		m.inFlight[t.ID]++
@@ -147,15 +176,15 @@ func (m *Machine) scheduleIn(c machine.CoreID) {
 	// Context-switch accounting, with the instruction-cache model: a task
 	// outside the core's recent-task ring pays the cold penalty.
 	m.res.Counters.CtxSwitches++
-	switchCost := m.cfg.Overheads.CtxSwitch
+	switchCost := ctxSwitch
 	if !cs.icacheHas(t.ID) {
-		switchCost += m.cfg.Overheads.ColdSwitch
+		switchCost += coldSwitch
 		m.res.Counters.ColdSwitches++
 	}
 	cs.icachePush(t.ID)
 	if t.Last != proc.NoCore && t.Last != c {
 		m.res.Counters.Migrations++
-		switchCost += m.cfg.Overheads.Migration
+		switchCost += migrationCost
 		if h := m.obs; h.Enabled() {
 			h.Emit(obs.Migration{
 				T: now, Task: int(t.ID), TaskName: t.Name,
@@ -207,6 +236,10 @@ func (m *Machine) scheduleIn(c machine.CoreID) {
 	m.advance(t, c)
 }
 
+// smtFactor is each hardware thread's throughput, as a fraction of the
+// clock, when its sibling is also busy (§5.5).
+const smtFactor = 0.62
+
 // effMHz returns c's effective execution rate: the core frequency,
 // derated when the hyperthread sibling is also executing (the two
 // hardware threads share one physical core's pipeline).
@@ -214,7 +247,7 @@ func (m *Machine) effMHz(c machine.CoreID) machine.FreqMHz {
 	f := m.fm.Cur(c)
 	sib := m.sibOf[c]
 	if sib != c && m.cores[sib].cur != nil {
-		f = machine.FreqMHz(float64(f) * m.cfg.SMTFactor)
+		f = machine.FreqMHz(float64(f) * smtFactor)
 	}
 	return f
 }
@@ -396,8 +429,8 @@ func (m *Machine) exit(t *proc.Task, c machine.CoreID) {
 	m.siblingSpeedChange(c)
 	coreIdle := len(cs.queue) == 0
 	m.policy.Exited(m, t, c, coreIdle)
-	if m.cfg.OnTaskExit != nil {
-		m.cfg.OnTaskExit(t)
+	if m.onExit != nil {
+		m.onExit(t)
 	}
 
 	if p := t.Parent; p != nil {
@@ -446,6 +479,16 @@ func (m *Machine) siblingSpeedChange(c machine.CoreID) {
 	}
 }
 
+// spinUtilSpeedShift / spinUtilSpeedStep are the activity levels the
+// hardware credits an idle-spinning core with. On Speed Shift parts the
+// spin keeps the core looking fully busy; the Broadwell estimator
+// discounts it — §5.3: "Even Nest's spinning is not sufficient to defeat
+// this tendency" on the E7-8870 v4.
+const (
+	spinUtilSpeedShift = 1.0
+	spinUtilSpeedStep  = 0.35
+)
+
 // pickNext runs the next queued task on c or sends the core idle, with
 // the policy deciding how long the idle loop spins to keep the core warm.
 func (m *Machine) pickNext(c machine.CoreID) {
@@ -478,9 +521,9 @@ func (m *Machine) pickNext(c machine.CoreID) {
 	}
 	cs.idleSince = now
 	if d := m.policy.IdleSpin(m, c); d > 0 {
-		lv := m.cfg.SpinUtilSpeedShift
+		lv := spinUtilSpeedShift
 		if m.spec.Ramp == machine.SpeedStep {
-			lv = m.cfg.SpinUtilSpeedStep
+			lv = spinUtilSpeedStep
 		}
 		// The hardware cannot tell the spin loop from real work (on
 		// SpeedStep its estimator discounts it; same level used).

@@ -97,9 +97,13 @@ func (m *Machine) SocketRunning() []int {
 	return m.sockRunning
 }
 
+// perCoreSearch is charged per core examined during placement, on top of
+// the policy's fixed cost — Nest's longer scans in hackbench (§5.6).
+const perCoreSearch = 40 * sim.Nanosecond
+
 // ChargeSearch implements sched.Machine.
 func (m *Machine) ChargeSearch(examined int, fixed sim.Duration) {
-	m.pendingSearch += sim.Duration(examined)*m.cfg.Overheads.PerCoreSearch + fixed
+	m.pendingSearch += sim.Duration(examined)*perCoreSearch + fixed
 	m.res.Counters.CoresExamined += int64(examined)
 }
 

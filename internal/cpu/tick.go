@@ -32,6 +32,9 @@ func (m *Machine) tick() {
 	}
 }
 
+// timeSlice is the preemption quantum checked at each tick.
+const timeSlice = 6 * sim.Millisecond
+
 // preemptPass rotates cores whose current task exhausted its time slice
 // while others wait, CFS-style (lowest vruntime next).
 func (m *Machine) preemptPass(now sim.Time) {
@@ -40,7 +43,7 @@ func (m *Machine) preemptPass(now sim.Time) {
 		if cs.cur == nil || len(cs.queue) == 0 {
 			continue
 		}
-		if now-cs.curStart < m.cfg.TimeSlice {
+		if now-cs.curStart < timeSlice {
 			continue
 		}
 		t := cs.cur
@@ -59,10 +62,17 @@ func (m *Machine) preemptPass(now sim.Time) {
 	}
 }
 
+// activeWindow is the lookback the hardware uses to count a socket's
+// active cores for the turbo budget. Tasks bouncing across many cores
+// keep them all "recently active", lowering every core's cap — the
+// mechanism that punishes CFS's dispersal even when only a couple of
+// tasks run at any instant.
+const activeWindow = 20 * sim.Millisecond
+
 // activePhysOnSocket counts physical cores on socket s that were active
 // within the hardware's lookback window — the basis of the turbo budget.
 func (m *Machine) activePhysOnSocket(s int, now sim.Time) int {
-	horizon := now - m.cfg.ActiveWindow
+	horizon := now - activeWindow
 	count := 0
 	for _, c := range m.physReps[s] {
 		cs := &m.cores[c]
@@ -85,26 +95,14 @@ func (m *Machine) activePhysOnSocket(s int, now sim.Time) int {
 func (m *Machine) freqAndAccountingPass(now sim.Time) {
 	// Refresh activity stamps, then count recently active physical cores
 	// per socket for the turbo budget.
-	horizon := now - m.cfg.ActiveWindow
-	for i := range m.physActive {
-		m.physActive[i] = false
-	}
-	for i := range m.sockActive {
-		m.sockActive[i] = 0
-	}
 	for i := range m.cores {
 		cs := &m.cores[i]
 		if cs.cur != nil || cs.spinUntil > now {
 			cs.lastActive = now
 		}
-		if cs.lastActive >= horizon {
-			m.physActive[m.physOf[cs.id]] = true
-		}
 	}
-	for p, a := range m.physActive {
-		if a {
-			m.sockActive[p/m.topo.PhysPerSocket()]++
-		}
+	for s := range m.sockActive {
+		m.sockActive[s] = m.activePhysOnSocket(s, now)
 	}
 
 	for i := range m.cores {
@@ -283,6 +281,9 @@ func (m *Machine) underloadPass(now sim.Time) {
 	m.maxRunnable = m.curRunnable
 }
 
+// balanceEvery is the idle-balance period in ticks per core.
+const balanceEvery = 2
+
 // balancePass is a model of CFS idle balancing: an idle core periodically
 // pulls a waiting task from the longest queue, same die first. Overloads
 // resolve gradually — a few ticks, as on real machines — rather than
@@ -297,7 +298,7 @@ func (m *Machine) balancePass() {
 		if cs.offline || cs.cur != nil || len(cs.queue) > 0 || cs.claimed {
 			continue
 		}
-		if (m.tickIndex+i)%m.cfg.BalanceEvery != 0 {
+		if (m.tickIndex+i)%balanceEvery != 0 {
 			continue
 		}
 		victim := m.findBusiest(cs.id)

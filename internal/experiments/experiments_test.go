@@ -29,12 +29,23 @@ func TestSchedulerFactories(t *testing.T) {
 	if _, err := Schedulers("nest:bogusflag"); err == nil {
 		t.Fatal("bogus nest flag accepted")
 	}
+	// A zero or negative override would silently run another variant;
+	// the error points at the flag that disables the feature.
+	for name, flag := range map[string]string{
+		"nest:rmax=0": "noreserve", "nest:smax=-1": "nospin",
+		"nest:premove=0": "nocompact", "nest:rimpatient=-1": "noimpatience",
+	} {
+		_, err := Schedulers(name)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("Schedulers(%q) error %v, want one naming %s", name, err, flag)
+		}
+	}
 }
 
 func TestNestVariantParsing(t *testing.T) {
-	cfg, ok := NestVariant("nest:nospin,premove=4,rmax=10,smax=1,rimpatient=7,noattach")
-	if !ok {
-		t.Fatal("variant rejected")
+	cfg, err := NestVariant("nest:nospin,premove=4,rmax=10,smax=1,rimpatient=7,noattach")
+	if err != nil {
+		t.Fatalf("variant rejected: %v", err)
 	}
 	if !cfg.DisableSpin || !cfg.DisableAttach {
 		t.Fatal("toggles not applied")
@@ -45,8 +56,14 @@ func TestNestVariantParsing(t *testing.T) {
 	if cfg.RMax != 10 || cfg.RImpatient != 7 {
 		t.Fatalf("count params wrong: rmax=%d rimpatient=%d", cfg.RMax, cfg.RImpatient)
 	}
-	if _, ok := NestVariant("cfs"); ok {
-		t.Fatal("non-nest name parsed as variant")
+	for _, bad := range []string{
+		"cfs", "nest:", "nest:rmax=0", "nest:premove=0", "nest:smax=0",
+		"nest:smax=-1", "nest:rmax=-3", "nest:rimpatient=-1",
+		"nest:smax=2x", "nest:rmax=", "nest:rmax", "nest:nospin=1",
+	} {
+		if _, err := NestVariant(bad); err == nil {
+			t.Errorf("NestVariant(%q) accepted", bad)
+		}
 	}
 }
 

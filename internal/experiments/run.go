@@ -5,6 +5,8 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/cfs"
 	nest "repro/internal/core"
@@ -38,32 +40,42 @@ func Schedulers(name string) (SchedulerFactory, error) {
 	case "cfs:claims":
 		// §3.4: the placement-flag optimisation applied to CFS alone,
 		// the counterfactual the paper suggests evaluating.
-		return func() sched.Policy {
-			cfg := cfs.DefaultConfig()
-			cfg.RespectClaims = true
-			return cfs.New(cfg)
-		}, nil
+		return func() sched.Policy { return cfs.New(cfs.Config{RespectClaims: true}) }, nil
 	case "random":
 		return func() sched.Policy { return naive.NewRandom() }, nil
 	case "sticky":
 		return func() sched.Policy { return naive.NewSticky() }, nil
 	}
-	if cfg, ok := NestVariant(name); ok {
+	if strings.HasPrefix(name, "nest:") {
+		cfg, err := NestVariant(name)
+		if err != nil {
+			return nil, err
+		}
 		return func() sched.Policy { return nest.New(cfg) }, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown scheduler %q", name)
 }
 
+// nestParams maps each Table 1 parameter override to the flag that
+// disables the feature it tunes: an override must be a positive integer,
+// and turning the feature off is the flag's job.
+var nestParams = map[string]string{
+	"premove":    "nocompact",
+	"smax":       "nospin",
+	"rmax":       "noreserve",
+	"rimpatient": "noimpatience",
+}
+
 // NestVariant parses "nest:flag[,flag...]" ablation names. Flags:
 // noreserve, nocompact, nospin, noattach, nowc, noimpatience, noclaim,
 // and parameter overrides premove=<ticks>, smax=<ticks>, rmax=<n>,
-// rimpatient=<n>.
-func NestVariant(name string) (nest.Config, bool) {
+// rimpatient=<n>, each a positive integer.
+func NestVariant(name string) (nest.Config, error) {
 	cfg := nest.DefaultConfig()
-	if len(name) < 6 || name[:5] != "nest:" {
-		return cfg, false
+	rest, ok := strings.CutPrefix(name, "nest:")
+	if !ok || rest == "" {
+		return cfg, fmt.Errorf("experiments: %q is not a nest variant (nest:<flag>[,...])", name)
 	}
-	rest := name[5:]
 	for _, f := range splitComma(rest) {
 		switch {
 		case f == "noreserve":
@@ -81,21 +93,28 @@ func NestVariant(name string) (nest.Config, bool) {
 		case f == "noclaim":
 			cfg.DisableClaimCheck = true
 		default:
-			var v int
-			if n, _ := fmt.Sscanf(f, "premove=%d", &v); n == 1 {
+			param, val, _ := strings.Cut(f, "=")
+			off, ok := nestParams[param]
+			if !ok {
+				return cfg, fmt.Errorf("experiments: unknown flag %q in scheduler %q", f, name)
+			}
+			v, err := strconv.Atoi(val)
+			if err != nil || v <= 0 {
+				return cfg, fmt.Errorf("experiments: %s in scheduler %q must be a positive integer (use %s to turn the feature off)", f, name, off)
+			}
+			switch param {
+			case "premove":
 				cfg.PRemove = sim.Duration(v) * sim.Tick
-			} else if n, _ := fmt.Sscanf(f, "smax=%d", &v); n == 1 {
+			case "smax":
 				cfg.SMax = sim.Duration(v) * sim.Tick
-			} else if n, _ := fmt.Sscanf(f, "rmax=%d", &v); n == 1 {
+			case "rmax":
 				cfg.RMax = v
-			} else if n, _ := fmt.Sscanf(f, "rimpatient=%d", &v); n == 1 {
+			case "rimpatient":
 				cfg.RImpatient = v
-			} else {
-				return cfg, false
 			}
 		}
 	}
-	return cfg, true
+	return cfg, nil
 }
 
 func splitComma(s string) []string {

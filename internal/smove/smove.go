@@ -21,55 +21,27 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes the Smove model.
-type Config struct {
-	// LowFreqFraction: a CFS-chosen core is "low frequency" when its
+// The published Smove parameters.
+const (
+	// lowFreqFraction: a CFS-chosen core is "low frequency" when its
 	// tick-sampled frequency is below this fraction of nominal.
-	LowFreqFraction float64
-	// HighFreqFraction: the waker core must be at least this fraction of
-	// nominal for the hand-off placement to be worthwhile.
-	HighFreqFraction float64
-	// MoveDelay is the timer after which an un-run task is moved to the
+	lowFreqFraction = 0.95
+	// highFreqFraction: the waker core must be at least this fraction
+	// of nominal for the hand-off placement to be worthwhile.
+	highFreqFraction = 1.0
+	// moveDelay is the timer after which an un-run task is moved to the
 	// CFS-chosen core.
-	MoveDelay sim.Duration
-	// CFS configures the underlying selection.
-	CFS cfs.Config
-}
-
-// DefaultConfig matches the published Smove parameters.
-func DefaultConfig() Config {
-	return Config{
-		LowFreqFraction:  0.95,
-		HighFreqFraction: 1.0,
-		MoveDelay:        200 * sim.Microsecond,
-		CFS:              cfs.DefaultConfig(),
-	}
-}
+	moveDelay = 200 * sim.Microsecond
+)
 
 // Policy is the Smove scheduler.
 type Policy struct {
 	sched.Base
-	cfg Config
 	cfs *cfs.Policy
 }
 
-// New returns an Smove policy.
-func New(cfg Config) *Policy {
-	def := DefaultConfig()
-	if cfg.LowFreqFraction == 0 {
-		cfg.LowFreqFraction = def.LowFreqFraction
-	}
-	if cfg.HighFreqFraction == 0 {
-		cfg.HighFreqFraction = def.HighFreqFraction
-	}
-	if cfg.MoveDelay == 0 {
-		cfg.MoveDelay = def.MoveDelay
-	}
-	return &Policy{cfg: cfg, cfs: cfs.New(cfg.CFS)}
-}
-
-// Default returns Smove with published parameters.
-func Default() *Policy { return New(DefaultConfig()) }
+// Default returns Smove with the published parameters over plain CFS.
+func Default() *Policy { return &Policy{cfs: cfs.Default()} }
 
 // Name implements sched.Policy.
 func (p *Policy) Name() string { return "smove" }
@@ -82,18 +54,18 @@ func (p *Policy) place(m sched.Machine, t *proc.Task, wakerCore, chosen machine.
 	nominal := float64(m.Spec().Nominal)
 	chosenF := float64(m.TickFreq(chosen))
 	wakerF := float64(m.TickFreq(wakerCore))
-	if chosenF >= nominal*p.cfg.LowFreqFraction {
+	if chosenF >= nominal*lowFreqFraction {
 		// The tick sample says the CFS core is fine; do nothing. (It is
 		// often wrong on just-idled cores — Smove's blind spot.)
 		m.Obs().Count("smove.tick_said_fast", 1)
 		return chosen
 	}
-	if wakerF < nominal*p.cfg.HighFreqFraction {
+	if wakerF < nominal*highFreqFraction {
 		return chosen
 	}
 	// Tentative placement on the waker's fast core, with a timer to fall
 	// back to the CFS choice.
-	m.MoveIfStillQueued(t, chosen, p.cfg.MoveDelay)
+	m.MoveIfStillQueued(t, chosen, moveDelay)
 	if h := m.Obs(); h.Enabled() {
 		h.Emit(obs.PlacementDecision{
 			T: m.Now(), Sched: p.Name(), Task: int(t.ID), TaskName: t.Name,

@@ -28,7 +28,7 @@ func TestTriggersOnColdCoreWithFastWaker(t *testing.T) {
 	if f.Moves[0].To == waker {
 		t.Fatal("fallback timer points at the waker core")
 	}
-	if f.Moves[0].Delay != DefaultConfig().MoveDelay {
+	if f.Moves[0].Delay != moveDelay {
 		t.Fatalf("delay = %v", f.Moves[0].Delay)
 	}
 }

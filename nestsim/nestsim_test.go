@@ -146,6 +146,23 @@ func TestNestWithAblation(t *testing.T) {
 	}
 }
 
+// TestNestWithZeroConfig: a zero NestConfig takes the Table 1 defaults
+// and runs exactly like Nest().
+func TestNestWithZeroConfig(t *testing.T) {
+	run := func(p nestsim.Policy) *nestsim.Result {
+		m := nestsim.NewMachine(nestsim.Xeon5218, p, nestsim.Schedutil, 1)
+		if err := m.Install("micro/hackbench", 0.01); err != nil {
+			t.Fatal(err)
+		}
+		return m.Run(0)
+	}
+	want, got := run(nestsim.Nest()), run(nestsim.NestWith(nestsim.NestConfig{}))
+	if got.Runtime != want.Runtime || got.EnergyJ != want.EnergyJ || got.Counters != want.Counters {
+		t.Fatalf("NestWith(NestConfig{}) ran %v %vJ %+v, Nest() ran %v %vJ %+v",
+			got.Runtime, got.EnergyJ, got.Counters, want.Runtime, want.EnergyJ, want.Counters)
+	}
+}
+
 func TestWorkloadsExposed(t *testing.T) {
 	ws := nestsim.Workloads()
 	if len(ws) < 262 {
