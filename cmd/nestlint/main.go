@@ -4,7 +4,7 @@
 //
 // Standalone:
 //
-//	go run ./cmd/nestlint [-json|-sarif] [-unused-directives] [-fix] [packages...]   (default ./...)
+//	go run ./cmd/nestlint [-json|-sarif] [-unused-directives] [packages...]   (default ./...)
 //
 // As a go vet tool (analyzes test files' packages too, but the suite
 // skips *_test.go sources by design):
@@ -49,11 +49,10 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON on stdout")
 	sarifOut := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 on stdout")
 	unusedDirectives := flag.Bool("unused-directives", false, "also report //lint: comments that suppress nothing")
-	fix := flag.Bool("fix", false, "apply mechanical fixes (sorted-keys rewrite for maporder)")
 	list := flag.Bool("list", false, "list analyzers and their contracts")
 	dir := flag.String("C", ".", "directory to run `go list` from (module root)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nestlint [-json|-sarif] [-unused-directives] [-fix] [-list] [-C dir] [packages...]\n")
+		fmt.Fprintf(os.Stderr, "usage: nestlint [-json|-sarif] [-unused-directives] [-list] [-C dir] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -79,22 +78,6 @@ func main() {
 		os.Exit(2)
 	}
 	diags := analysis.RunAnalyzers(pkgs, analysis.Suite())
-
-	if *fix {
-		applied, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "nestlint: applied %d fix(es)\n", applied)
-		// Re-load and re-run so the report reflects the fixed tree.
-		pkgs, err = analysis.Load(*dir, patterns...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		diags = analysis.RunAnalyzers(pkgs, analysis.Suite())
-	}
 
 	if *unusedDirectives {
 		// Stale-allowlist detection needs the analyzers' Used marks, so
@@ -125,11 +108,7 @@ func main() {
 		}
 	default:
 		for _, d := range diags {
-			fixable := ""
-			if d.Fix != nil {
-				fixable = " [fixable: nestlint -fix]"
-			}
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s%s\n", d.Pos, d.Analyzer, d.Message, fixable)
+			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
 		}
 	}
 	if len(diags) > 0 {

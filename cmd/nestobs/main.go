@@ -22,11 +22,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/sim"
 )
 
@@ -407,8 +409,8 @@ func writeOverload(w io.Writer, a *analysis) {
 // the "is there activity at all" test behind the degenerate-stream
 // rendering paths.
 func anyCounter(counters map[string]int64, prefix string) bool {
-	for name, n := range counters {
-		if n > 0 && len(name) > len(prefix) && name[:len(prefix)] == prefix {
+	for _, name := range ordered.Keys(counters) {
+		if counters[name] > 0 && len(name) > len(prefix) && name[:len(prefix)] == prefix {
 			return true
 		}
 	}
@@ -505,20 +507,16 @@ func writeFanout(w io.Writer, a *analysis) {
 // overloadClasses extracts the request-class names present in the
 // per-class ovl.* counters, sorted for deterministic output.
 func overloadClasses(counters map[string]int64) []string {
+	names := ordered.Keys(counters)
 	seen := make(map[string]bool)
 	for _, prefix := range []string{"ovl.completed.", "ovl.shed.", "ovl.timeout.", "ovl.retry."} {
-		for name := range counters {
+		for _, name := range names {
 			if len(name) > len(prefix) && name[:len(prefix)] == prefix {
 				seen[name[len(prefix):]] = true
 			}
 		}
 	}
-	classes := make([]string, 0, len(seen))
-	for class := range seen {
-		classes = append(classes, class)
-	}
-	sort.Strings(classes)
-	return classes
+	return ordered.Keys(seen)
 }
 
 // writeCounters dumps a recomputed counter registry sorted by name.
@@ -526,13 +524,8 @@ func writeCounters(w io.Writer, counters map[string]int64) {
 	if len(counters) == 0 {
 		return
 	}
-	names := make([]string, 0, len(counters))
-	for n := range counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Fprintln(w, "counters (recomputed from the event stream):")
-	for _, n := range names {
+	for _, n := range ordered.Keys(counters) {
 		fmt.Fprintf(w, "  %-28s %d\n", n, counters[n])
 	}
 	fmt.Fprintln(w)
@@ -595,18 +588,9 @@ func writeDiff(w io.Writer, pathA, pathB string, a, b *analysis) {
 		fmt.Fprintln(w)
 	}
 
-	names := make([]string, 0, len(a.counters)+len(b.counters))
-	seen := make(map[string]bool, len(a.counters)+len(b.counters))
-	for n := range a.counters {
-		names = append(names, n)
-		seen[n] = true
-	}
-	for n := range b.counters {
-		if !seen[n] {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
+	names := append(ordered.Keys(a.counters), ordered.Keys(b.counters)...)
+	slices.Sort(names)
+	names = slices.Compact(names)
 	if len(names) == 0 {
 		fmt.Fprintln(w, "counter deltas: n/a (no events)")
 		return

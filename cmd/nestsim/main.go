@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -31,6 +30,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/textplot"
@@ -366,13 +366,8 @@ func printCounters(stats *metrics.RunStats) {
 		fmt.Println("no counters recorded")
 		return
 	}
-	names := make([]string, 0, len(stats.Counters))
-	for n := range stats.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Printf("counters (%d events recorded):\n", stats.Events)
-	for _, n := range names {
+	for _, n := range ordered.Keys(stats.Counters) {
 		fmt.Printf("  %-28s %d\n", n, stats.Counters[n])
 	}
 }

@@ -42,26 +42,11 @@ type Pass struct {
 	diags    *[]Diagnostic
 }
 
-// A Diagnostic is one finding, optionally carrying a mechanical fix.
+// A Diagnostic is one finding.
 type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"pos"`
 	Message  string         `json:"message"`
-	Fix      *Fix           `json:"fix,omitempty"`
-}
-
-// A Fix is a set of byte-offset text edits that resolve a diagnostic.
-type Fix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// A TextEdit replaces file bytes [Start, End) with New.
-type TextEdit struct {
-	File  string `json:"file"`
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	New   string `json:"new"`
 }
 
 // Fset returns the file set positions resolve against.
@@ -80,15 +65,6 @@ func (p *Pass) Path() string { return p.Pkg.Path }
 // Reportf records a finding at pos unless an active suppression
 // comment covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportWithFix records a finding carrying a mechanical fix.
-func (p *Pass) ReportWithFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	msg := fmt.Sprintf(format, args...)
 	if s := p.Pkg.suppressionAt(p.Analyzer.Name, position); s != nil {
@@ -105,7 +81,6 @@ func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Pos:      position,
 		Message:  msg,
-		Fix:      fix,
 	})
 }
 

@@ -8,24 +8,20 @@ import (
 
 // Postdiscipline enforces the engine's callback contract: all
 // simulation state is driven from a single goroutine, and event
-// callbacks fire later — so a callback must not be scheduled from a
-// map iteration (its firing order would inherit the random map order),
-// must not block (channels, sync primitives), and sim packages must
-// not start goroutines at all.
+// callbacks fire later — so a callback must not block (channels, sync
+// primitives), and sim packages must not start goroutines at all. A
+// callback scheduled from a map iteration is maporder's concern: no map
+// range survives in deterministic scope.
 var Postdiscipline = &Analyzer{
 	Name:     "postdiscipline",
-	Contract: "no goroutines in sim packages; Post/At callbacks never capture map-range variables or block",
+	Contract: "no goroutines in sim packages; Post/At callbacks never block",
 	Doc: `postdiscipline reports, inside the deterministic simulation packages:
 (1) go statements — the engine is single-goroutine by design; RequestStop is
 the one sanctioned cross-goroutine entry point; (2) callbacks passed to
-sim.Engine.Post/PostAfter/At/After/Reschedule that capture the key or value
-variable of an enclosing range over a map — the callback's payload (and with
-equal deadlines, its relative order) would depend on randomized map order;
-(3) Runner values passed to PostRun/PostRunAfter/Arm/ArmAfter that are built
-from a map-range key or value — the pooled-closure spelling of the same bug;
-(4) callbacks that perform channel operations or take sync locks — an event
-callback that blocks deadlocks the whole virtual clock. Suppress with
-//lint:postdiscipline <reason> (alias //lint:goroutine for go statements).`,
+sim.Engine.Post/PostAfter/At/After/Reschedule that perform channel operations
+or take sync locks — an event callback that blocks deadlocks the whole virtual
+clock. Suppress with //lint:postdiscipline <reason> (alias //lint:goroutine for
+go statements).`,
 	Run: runPostdiscipline,
 }
 
@@ -34,7 +30,7 @@ func runPostdiscipline(pass *Pass) {
 		return
 	}
 	info := pass.TypesInfo()
-	pass.inspectWithStack(func(n ast.Node, stack []ast.Node) bool {
+	pass.inspectWithStack(func(n ast.Node, _ []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(),
@@ -44,13 +40,9 @@ func runPostdiscipline(pass *Pass) {
 			if fn == nil || !isEnginePostFamily(fn) {
 				return true
 			}
-			for i, arg := range n.Args {
+			for _, arg := range n.Args {
 				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					checkCallback(pass, fn.Name(), lit, stack)
-					continue
-				}
-				if isRunnerParam(fn, i) {
-					checkRunnerArg(pass, fn.Name(), arg, stack)
+					checkCallback(pass, lit)
 				}
 			}
 		}
@@ -58,90 +50,22 @@ func runPostdiscipline(pass *Pass) {
 	})
 }
 
-// isRunnerParam reports whether the i-th parameter of fn is the
-// sim.Runner payload (PostRun/PostRunAfter/Arm/ArmAfter take one).
-func isRunnerParam(fn *types.Func, i int) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || i >= sig.Params().Len() {
-		return false
-	}
-	named, ok := sig.Params().At(i).Type().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "repro/internal/sim" && named.Obj().Name() == "Runner"
-}
-
-// mapRangeVars collects the key/value objects of enclosing ranges over
-// maps from an inspection stack.
-func mapRangeVars(info *types.Info, stack []ast.Node) map[types.Object]*ast.RangeStmt {
-	vars := map[types.Object]*ast.RangeStmt{}
-	for _, anc := range stack {
-		rng, ok := anc.(*ast.RangeStmt)
-		if !ok {
-			continue
-		}
-		t := info.TypeOf(rng.X)
-		if t == nil {
-			continue
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			continue
-		}
-		for _, e := range []ast.Expr{rng.Key, rng.Value} {
-			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-				if obj := info.Defs[id]; obj != nil {
-					vars[obj] = rng
-				}
-			}
-		}
-	}
-	return vars
-}
-
-// checkRunnerArg inspects the Runner payload of a PostRun/Arm-family
-// call: a Runner built from a map-range key or value schedules work
-// whose content depends on randomized iteration order, exactly like a
-// closure capturing the loop variable.
-func checkRunnerArg(pass *Pass, method string, arg ast.Expr, stack []ast.Node) {
-	info := pass.TypesInfo()
-	loopVars := mapRangeVars(info, stack)
-	if len(loopVars) == 0 {
-		return
-	}
-	ast.Inspect(arg, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
+// isEnginePostFamily reports whether fn is a sim.Engine method that
+// takes a callback closure to run later.
+func isEnginePostFamily(fn *types.Func) bool {
+	for _, m := range []string{"Post", "PostAfter", "At", "After", "Reschedule"} {
+		if isMethodOn(fn, "repro/internal/sim", "Engine", m) {
 			return true
 		}
-		obj := info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if _, fromMapRange := loopVars[obj]; fromMapRange {
-			pass.Reportf(id.Pos(),
-				"Runner passed to Engine.%s is built from %q, the key/value of an enclosing range over a map: the scheduled work depends on randomized iteration order", method, id.Name)
-			delete(loopVars, obj) // one report per variable
-		}
-		return true
-	})
+	}
+	return false
 }
 
 // checkCallback inspects one closure scheduled on the engine.
-func checkCallback(pass *Pass, method string, lit *ast.FuncLit, stack []ast.Node) {
+func checkCallback(pass *Pass, lit *ast.FuncLit) {
 	info := pass.TypesInfo()
-	mapLoopVars := mapRangeVars(info, stack)
-
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.Ident:
-			if obj := info.Uses[n]; obj != nil {
-				if _, fromMapRange := mapLoopVars[obj]; fromMapRange {
-					pass.Reportf(n.Pos(),
-						"callback passed to Engine.%s captures %q from an enclosing range over a map: the scheduled work depends on randomized iteration order", method, n.Name)
-					delete(mapLoopVars, obj) // one report per variable
-				}
-			}
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(), "event callback sends on a channel: callbacks run on the sim goroutine and must never block")
 		case *ast.UnaryExpr:

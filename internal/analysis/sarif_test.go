@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// goldenDiags is a fixed diagnostic set covering both output paths: a
-// suite finding with a fix and an UnusedDirectives pseudo-finding whose
-// rule is not in the suite list.
+// goldenDiags is a fixed diagnostic set covering both output paths:
+// suite findings and an UnusedDirectives pseudo-finding whose rule is
+// not in the suite list.
 func goldenDiags() []Diagnostic {
 	return []Diagnostic{
 		{
@@ -23,10 +23,6 @@ func goldenDiags() []Diagnostic {
 			Analyzer: "maporder",
 			Pos:      token.Position{Filename: "/repo/internal/cpu/cpu.go", Line: 7, Column: 2},
 			Message:  "map iteration order is random per run but this loop posts simulator events",
-			Fix: &Fix{
-				Message: "iterate sorted keys",
-				Edits:   []TextEdit{{File: "/repo/internal/cpu/cpu.go", Start: 100, End: 120, New: "for _, k := range keys {"}},
-			},
 		},
 		{
 			Analyzer: UnusedDirectiveAnalyzer,

@@ -27,6 +27,11 @@ var deterministicPkgs = []string{
 	"repro/internal/workload",
 	"repro/internal/naive",
 	"repro/internal/machine",
+	"repro/internal/proc",
+	// ordered is the one place a map is ranged: its sole loop carries
+	// the repo's only //lint:maporder directive, which the scope keeps
+	// honest under -unused-directives.
+	"repro/internal/ordered",
 }
 
 // outputPkgs produce encoded artifacts (result JSON, metrics, plots,

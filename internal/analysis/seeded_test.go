@@ -113,3 +113,25 @@ func TestSeededUnguardedGenCallback(t *testing.T) {
 	expect(t, diags, "fanout.go",
 		regexp.MustCompile(`pooled record fr dereferenced in engine callback before its generation check`))
 }
+
+// TestSeededMapRange rewrites workload.Names (internal/workload/
+// workload.go) to collect the registry's keys with a bare range and no
+// sort, so -list and every name-ordered output would follow the random
+// map order, and asserts maporder reports the loop.
+func TestSeededMapRange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a mutated copy of internal/workload")
+	}
+	root := repoRoot(t)
+	dir := mutatePackage(t, filepath.Join(root, "internal", "workload"), "workload.go",
+		"	return ordered.Keys(registry)\n",
+		"	out := make([]string, 0, len(registry))\n"+
+			"	for n := range registry {\n"+
+			"		out = append(out, n)\n"+
+			"	}\n"+
+			"	return out\n")
+	// The rewrite leaves workload.go's ordered import unused.
+	dir = mutatePackage(t, dir, "workload.go", "	\"repro/internal/ordered\"\n", "")
+	diags := runOn(t, dir, "repro/internal/workload", analysis.Maporder)
+	expect(t, diags, "workload.go", regexp.MustCompile(`range over a map`))
+}

@@ -1,122 +1,69 @@
-// Fixture for the maporder analyzer: order-dependent and provably
-// order-independent map iterations.
+// Fixture for the maporder analyzer: every range over a map is banned,
+// including loops whose effects happen to commute; ordered.Keys and
+// clear are the sanctioned spellings.
 package fixture
 
 import (
 	"fmt"
 	"io"
-	"sort"
+
+	"repro/internal/ordered"
 )
 
 func badWrite(w io.Writer, m map[string]int) {
-	for k, v := range m { // want `map iteration order`
+	for k, v := range m { // want `range over a map`
 		fmt.Fprintf(w, "%s=%d\n", k, v)
 	}
 }
 
-func badFloatSum(m map[int]float64) float64 {
-	var sum float64
-	for _, v := range m { // want `\+= on a non-integer type`
-		sum += v
-	}
-	return sum
-}
-
-func badAppend(m map[int]int) []int {
-	var out []int
-	for _, v := range m { // want `appends loop-dependent values`
-		out = append(out, v)
-	}
-	return out
-}
-
-func badEarlyReturn(m map[int]int) int {
-	for k := range m { // want `depends on which key is visited first`
-		return k
-	}
-	return -1
-}
-
-func badLastWriter(m map[int]string) string {
-	var last string
-	for _, v := range m { // want `surviving value depends on iteration order`
-		last = v
-	}
-	return last
-}
-
-func badUnknownCall(m map[int]int, f func(int)) {
-	for k := range m { // want `unknown effects`
-		f(k)
+// A type parameter ranges over its core type: still a map.
+func badGeneric[M ~map[K]V, K comparable, V any](w io.Writer, m M) {
+	for k, v := range m { // want `range over a map`
+		fmt.Fprintf(w, "%v=%v\n", k, v)
 	}
 }
 
-// Integer accumulation commutes exactly: clean.
-func goodIntSum(m map[int]int) int {
+type loads map[int]float64
+
+func badNamed(w io.Writer, l loads) {
+	for c, v := range l { // want `range over a map`
+		fmt.Fprintf(w, "%d %f\n", c, v)
+	}
+}
+
+// Integer sums commute, but the ban admits no case-by-case proof.
+func badIntSum(m map[int]int) int {
 	n := 0
-	for _, v := range m {
+	for _, v := range m { // want `range over a map`
 		n += v
+	}
+	return n
+}
+
+func badKeysOnly(m map[int]bool) int {
+	n := 0
+	for range m { // want `range over a map`
 		n++
 	}
 	return n
 }
 
-// The collect-then-sort idiom: clean.
-func goodCollectSort(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Sorted keys, then index the map: clean.
+func goodOrdered(w io.Writer, m map[string]int) {
+	for _, k := range ordered.Keys(m) {
+		fmt.Fprintf(w, "%s=%d\n", k, m[k])
 	}
-	sort.Strings(keys)
-	return keys
 }
 
-// Keyed writes touch one slot per key: clean.
-func goodKeyedWrite(m map[int]int) map[int]int {
-	out := make(map[int]int, len(m))
-	for k, v := range m {
-		out[k] = v * 2
-	}
-	return out
-}
-
-// Idempotent flag set: clean.
-func goodFlag(m map[int]int) bool {
-	found := false
-	for _, v := range m {
-		if v > 10 {
-			found = true
-		}
-	}
-	return found
-}
-
-// Exact max fold: clean.
-func goodMaxFold(m map[int]int) int {
-	best := 0
-	for _, v := range m {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// Per-iteration locals: clean.
-func goodLocals(m map[int]int) int {
-	n := 0
-	for _, v := range m {
-		scratch := make([]int, 0, 4)
-		scratch = append(scratch, v)
-		n += len(scratch)
-	}
-	return n
-}
-
-// Deleting by loop key during iteration is keyed and sanctioned: clean.
+// Emptying a map needs no iteration: clean.
 func goodClear(m map[int]int) {
-	for k := range m {
-		delete(m, k)
+	clear(m)
+}
+
+// Slices iterate in index order: clean.
+func goodSlice(w io.Writer, s []int) {
+	for i, v := range s {
+		fmt.Fprintf(w, "%d=%d\n", i, v)
 	}
 }
 
@@ -124,6 +71,15 @@ func suppressed(m map[int]int) []int {
 	var out []int
 	//lint:maporder fixture: caller treats the result as a set
 	for _, v := range m {
+		out = append(out, v)
+	}
+	return out
+}
+
+func reasonless(m map[int]int) []int {
+	var out []int
+	//lint:maporder
+	for _, v := range m { // want `needs a justification`
 		out = append(out, v)
 	}
 	return out

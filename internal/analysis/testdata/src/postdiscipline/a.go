@@ -10,19 +10,6 @@ import (
 
 func use(int) {}
 
-func badMapCapture(eng *sim.Engine, wakes map[int]sim.Time) {
-	for id, t := range wakes {
-		eng.Post(t, func() { use(id) }) // want `captures "id" from an enclosing range over a map`
-	}
-}
-
-// Slice iteration order is deterministic, so capture is fine: clean.
-func goodSliceCapture(eng *sim.Engine, wakes []sim.Time) {
-	for i, t := range wakes {
-		eng.Post(t, func() { use(i) })
-	}
-}
-
 // Captures of non-loop state: clean.
 func goodPlainCapture(eng *sim.Engine, d sim.Duration, n int) {
 	eng.PostAfter(d, func() { use(n) })
@@ -47,52 +34,4 @@ func badBlockingSend(eng *sim.Engine, ch chan int) {
 
 func badLock(eng *sim.Engine, mu *sync.Mutex) {
 	eng.Post(0, func() { mu.Lock() }) // want `sync\.Mutex\.Lock`
-}
-
-// wake is a pooled-closure Runner; the PostRun/Arm family schedules it
-// by value instead of by closure.
-type wake struct {
-	id int
-}
-
-func (w *wake) RunAt(now sim.Time) { use(w.id) }
-
-func badRunnerPostRun(eng *sim.Engine, wakes map[int]sim.Time) {
-	for id, t := range wakes {
-		eng.PostRun(t, &wake{id: id}) // want `Runner passed to Engine\.PostRun is built from "id"`
-	}
-}
-
-func badRunnerPostRunAfter(eng *sim.Engine, delays map[int]sim.Duration) {
-	for id, d := range delays {
-		eng.PostRunAfter(d, &wake{id: id}) // want `Runner passed to Engine\.PostRunAfter is built from "id"`
-	}
-}
-
-func badRunnerArm(eng *sim.Engine, ev *sim.Event, wakes map[int]sim.Time) {
-	for id, t := range wakes {
-		eng.Arm(ev, t, &wake{id: id}) // want `Runner passed to Engine\.Arm is built from "id"`
-	}
-}
-
-func badRunnerArmAfter(eng *sim.Engine, ev *sim.Event, delays map[int]sim.Duration) {
-	for id, d := range delays {
-		eng.ArmAfter(ev, d, &wake{id: id}) // want `Runner passed to Engine\.ArmAfter is built from "id"`
-	}
-}
-
-// A Runner whose value is independent of the loop variables is clean:
-// the deadline may come from the map, only the payload is checked.
-func goodRunnerFixedPayload(eng *sim.Engine, w *wake, wakes map[int]sim.Time) {
-	for _, t := range wakes {
-		eng.PostRun(t, w)
-	}
-}
-
-// Slice iteration is deterministic; building the Runner from its index
-// is fine.
-func goodRunnerSliceCapture(eng *sim.Engine, wakes []sim.Time) {
-	for i, t := range wakes {
-		eng.PostRun(t, &wake{id: i})
-	}
 }

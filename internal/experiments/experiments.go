@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/ordered"
 )
 
 // Options control how an experiment runs.
@@ -194,19 +194,14 @@ func ByID(id string) (*Experiment, error) {
 
 // List returns all experiment IDs, sorted.
 func List() []string {
-	out := make([]string, 0, len(experimentRegistry))
-	for id := range experimentRegistry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return ordered.Keys(experimentRegistry)
 }
 
 // Titles returns id → title for all experiments.
 func Titles() map[string]string {
 	out := make(map[string]string, len(experimentRegistry))
-	for id, e := range experimentRegistry {
-		out[id] = e.Title
+	for _, id := range ordered.Keys(experimentRegistry) {
+		out[id] = experimentRegistry[id].Title
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/ordered"
 	"repro/internal/sim"
 )
 
@@ -104,11 +104,7 @@ func (e *TimeoutError) Error() string {
 	if len(e.Counters) == 0 {
 		return s
 	}
-	names := make([]string, 0, len(e.Counters))
-	for name := range e.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := ordered.Keys(e.Counters)
 	if len(names) > 8 {
 		names = names[:8]
 	}

@@ -189,9 +189,7 @@ func (c *Checker) Check() {
 
 	topo := c.st.Topo()
 	n := topo.NumCores()
-	for id := range c.seen {
-		delete(c.seen, id)
-	}
+	clear(c.seen)
 	totalQueued := 0
 	for i := 0; i < n; i++ {
 		cid := machine.CoreID(i)

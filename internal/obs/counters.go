@@ -2,9 +2,10 @@ package obs
 
 import (
 	"maps"
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/ordered"
 )
 
 // Counter is one named atomic tally. The zero value is ready to use; a
@@ -120,13 +121,7 @@ func (cs *Counters) Names() []string {
 	if cs == nil {
 		return nil
 	}
-	m := *cs.m.Load()
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return ordered.Keys(*cs.m.Load())
 }
 
 // Snapshot returns a point-in-time copy of every counter.
@@ -136,8 +131,8 @@ func (cs *Counters) Snapshot() map[string]int64 {
 	}
 	m := *cs.m.Load()
 	out := make(map[string]int64, len(m))
-	for name, c := range m {
-		out[name] = c.Value()
+	for _, name := range ordered.Keys(m) {
+		out[name] = m[name].Value()
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/ordered"
 	"repro/internal/sim"
 )
 
@@ -124,8 +125,8 @@ func (x *Explain) WriteTo(w io.Writer) (int64, error) {
 		count int
 	}
 	rows := make([]row, 0, len(x.paths))
-	for name, c := range x.paths {
-		rows = append(rows, row{name, c})
+	for _, name := range ordered.Keys(x.paths) {
+		rows = append(rows, row{name, x.paths[name]})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].count != rows[j].count {

@@ -3,8 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+
+	"repro/internal/ordered"
 )
 
 // WritePrometheus renders the registry in the Prometheus text exposition
@@ -65,14 +66,9 @@ func promLabels(labels map[string]string) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, k := range ordered.Keys(labels) {
 		if i > 0 {
 			b.WriteByte(',')
 		}

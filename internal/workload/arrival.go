@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/ordered"
 	"repro/internal/sim"
 )
 
@@ -144,12 +144,7 @@ func parseKV(s string, setters map[string]func(string) error, required ...string
 			}
 			set, known := setters[k]
 			if !known {
-				keys := make([]string, 0, len(setters))
-				for key := range setters {
-					keys = append(keys, key)
-				}
-				sort.Strings(keys)
-				return fmt.Errorf("unknown parameter %q (want %s)", k, strings.Join(keys, "/"))
+				return fmt.Errorf("unknown parameter %q (want %s)", k, strings.Join(ordered.Keys(setters), "/"))
 			}
 			if seen[k] {
 				return fmt.Errorf("duplicate parameter %q", k)

@@ -14,9 +14,9 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cpu"
+	"repro/internal/ordered"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -58,12 +58,7 @@ func ByName(name string) (*Workload, error) {
 
 // Names returns all registered workload names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return ordered.Keys(registry)
 }
 
 // Suite returns the workloads of a suite in registration-stable (sorted)
