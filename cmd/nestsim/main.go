@@ -99,7 +99,7 @@ func main() {
 		name, err := registerArrivalTrace(*arrivalTrace, *admissionStr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nestsim:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		if *wlName == "configure/llvm_ninja" { // default: run the trace workload
 			*wlName = name

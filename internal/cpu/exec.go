@@ -313,20 +313,19 @@ func (m *Machine) advance(t *proc.Task, c machine.CoreID) {
 			t.Now = m.eng.Now()
 			a = t.Behavior(t, m.rng)
 		}
+		// The pointer arms are a behaviour's owned Compute and Sleep
+		// (see proc.Action): each is read here, once, before the
+		// behaviour runs again.
 		switch act := a.(type) {
 		case proc.Compute:
-			if act.Cycles > 0 {
-				t.Remaining += act.Cycles
-			}
+			addWork(t, act.Cycles)
+		case *proc.Compute:
+			addWork(t, act.Cycles)
 		case proc.Sleep:
-			m.taskLeaves(t, c, proc.StateSleeping)
-			d := act.D
-			if d < 0 {
-				d = 0
-			}
-			r := m.rec(evTimerWake)
-			r.task = t
-			m.eng.PostRunAfter(d, r)
+			m.sleep(t, c, act.D)
+			return
+		case *proc.Sleep:
+			m.sleep(t, c, act.D)
 			return
 		case proc.Fork:
 			child := m.newTask(act.Name, act.Behavior, t)
@@ -368,6 +367,24 @@ func (m *Machine) advance(t *proc.Task, c machine.CoreID) {
 			panic(fmt.Sprintf("cpu: unknown action %T", a))
 		}
 	}
+}
+
+// addWork queues a Compute's cycles on t.
+func addWork(t *proc.Task, cycles int64) {
+	if cycles > 0 {
+		t.Remaining += cycles
+	}
+}
+
+// sleep takes t off c until a timer wakes it d from now.
+func (m *Machine) sleep(t *proc.Task, c machine.CoreID, d sim.Duration) {
+	m.taskLeaves(t, c, proc.StateSleeping)
+	if d < 0 {
+		d = 0
+	}
+	r := m.rec(evTimerWake)
+	r.task = t
+	m.eng.PostRunAfter(d, r)
 }
 
 // setWaitingChildren marks t as blocked on child exits.
@@ -583,7 +600,6 @@ const spinWaitCycles = int64(1) << 50
 func (m *Machine) barrierArrive(b *proc.Barrier, t *proc.Task, c machine.CoreID) bool {
 	if len(b.Waiting)+1 >= b.Parties {
 		waiters := b.Waiting
-		b.Waiting = nil
 		if b.ActiveWait {
 			// Active waiters are running threads: the release is a
 			// single memory write they all notice within a moment; no
@@ -595,17 +611,21 @@ func (m *Machine) barrierArrive(b *proc.Barrier, t *proc.Task, c machine.CoreID)
 				r.task = w
 				m.eng.PostRunAfter(200*sim.Nanosecond, r)
 			}
-			return false
+		} else {
+			// Futex-style barrier: release everyone, one wakeup at a
+			// time, paying for the storm on the waker's core.
+			for i, w := range waiters {
+				r := m.rec(evBarrierWake)
+				r.task = w
+				r.core = c
+				m.eng.PostRunAfter(sim.Duration(i)*wakeIssueGap, r)
+			}
+			m.chargeCycles(t, c, sim.Duration(len(waiters))*wakeIssueGap)
 		}
-		// Futex-style barrier: release everyone, one wakeup at a time,
-		// paying for the storm on the waker's core.
-		for i, w := range waiters {
-			r := m.rec(evBarrierWake)
-			r.task = w
-			r.core = c
-			m.eng.PostRunAfter(sim.Duration(i)*wakeIssueGap, r)
-		}
-		m.chargeCycles(t, c, sim.Duration(len(waiters))*wakeIssueGap)
+		// The wake records carry the tasks now; the next round reuses
+		// the slice.
+		clear(waiters)
+		b.Waiting = waiters[:0]
 		return false
 	}
 	b.Waiting = append(b.Waiting, t)

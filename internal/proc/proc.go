@@ -148,6 +148,16 @@ func (t *Task) RecordExecution(c machine.CoreID) {
 // Action is one step of a task's behaviour. Exactly the action kinds the
 // paper's workloads need exist; the simulator's interpreter lives in
 // internal/cpu.
+//
+// Compute and Sleep may also be returned by pointer (*Compute, *Sleep):
+// a behaviour whose cycle count or duration changes every segment keeps
+// one value of each in its closure, fills it in and returns its address,
+// so its steady-state action stream allocates nothing (boxing a fresh
+// 8-byte value into Action allocates). The interpreter reads a pointer
+// action before it calls the behaviour again and never keeps the
+// pointer, so the behaviour may overwrite the value on its next call.
+// Actions queued for later (a Script, a pending list) are read only when
+// their turn comes, so queue values there.
 type Action interface{ isAction() }
 
 // Compute runs the given number of CPU cycles. Wall time depends on the
@@ -267,9 +277,9 @@ func Repeat(n int, actions ...Action) Behavior {
 	}
 }
 
-// Loop returns a behaviour that asks body for an action n times per
-// iteration... it repeats the action sequence produced by gen n times.
-// gen is called once per iteration with the iteration index.
+// Loop returns a behaviour that plays n iterations of an action
+// sequence, then exits. gen builds iteration i's sequence when the
+// previous one is used up; an empty sequence skips the iteration.
 func Loop(n int, gen func(i int) []Action) Behavior {
 	iter := 0
 	var pending []Action

@@ -124,6 +124,8 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 			var burstStart sim.Time
 			var burstIdeal sim.Duration
 			var pending []proc.Action
+			var burst proc.Compute // owned actions (see proc.Action)
+			var wait proc.Sleep
 			return func(t *proc.Task, r *sim.Rand) proc.Action {
 				if !started {
 					started = true
@@ -159,7 +161,8 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 					c := work(r)
 					burstStart = t.Now
 					burstIdeal = proc.TimeFor(c, nominal)
-					return proc.Compute{Cycles: c}
+					burst.Cycles = c
+					return &burst
 				default:
 					state = 0
 					left--
@@ -174,7 +177,8 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 						c := work(r)
 						burstStart = t.Now
 						burstIdeal = proc.TimeFor(c, nominal)
-						return proc.Compute{Cycles: c}
+						burst.Cycles = c
+						return &burst
 					}
 					d := sleep.Draw(r)
 					if g.ScaleSleep && burstIdeal > 0 {
@@ -187,7 +191,8 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 						}
 						d = sim.Duration(float64(d) * (0.25 + 0.75*ratio))
 					}
-					return proc.Sleep{D: d}
+					wait.D = d
+					return &wait
 				}
 			}
 		}

@@ -64,6 +64,8 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 		computing := false
 		var burstStart sim.Time
 		var burstIdeal sim.Duration
+		var burst proc.Compute // owned actions (see proc.Action)
+		var wait proc.Sleep
 		return func(t *proc.Task, r *sim.Rand) proc.Action {
 			if remaining <= 0 {
 				return proc.Exit{}
@@ -73,7 +75,8 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 				c := work(r)
 				burstStart = t.Now
 				burstIdeal = proc.TimeFor(c, nominal)
-				return proc.Compute{Cycles: c}
+				burst.Cycles = c
+				return &burst
 			}
 			computing = false
 			remaining--
@@ -88,8 +91,8 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 				}
 			}
 			d := gap.Draw(r)
-			d = sim.Duration(float64(d) * (fixedWaitFrac + (1-fixedWaitFrac)*ratio))
-			return proc.Sleep{D: d}
+			wait.D = sim.Duration(float64(d) * (fixedWaitFrac + (1-fixedWaitFrac)*ratio))
+			return &wait
 		}
 	}
 
@@ -99,17 +102,21 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 		computing := false
 		hw := jitterCycles(m, p.HelperWork, 0.4)
 		helperSleep := sim.NewLogNormal(p.HelperPeriod, 0.3)
+		var burst proc.Compute // owned actions (see proc.Action)
+		var wait proc.Sleep
 		return func(t *proc.Task, r *sim.Rand) proc.Action {
 			if remaining <= 0 {
 				return proc.Exit{}
 			}
 			if !computing {
 				computing = true
-				return proc.Compute{Cycles: hw(r)}
+				burst.Cycles = hw(r)
+				return &burst
 			}
 			computing = false
 			remaining--
-			return proc.Sleep{D: helperSleep.Draw(r)}
+			wait.D = helperSleep.Draw(r)
+			return &wait
 		}
 	}
 

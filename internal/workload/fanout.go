@@ -286,15 +286,24 @@ type hedgeTimer struct {
 // RunAt implements sim.Runner: the hedge delay elapsed.
 func (ht *hedgeTimer) RunAt(now sim.Time) { ht.ol.hedgeFire(ht, now) }
 
+// newFanReq takes a fan-out record from the pool, refilling it with a
+// fresh slab when empty.
+//
 //pool:get
 func (ol *openLoop) newFanReq(rq *request) *fanReq {
 	fr := ol.fanFree
 	if fr == nil {
-		fr = &fanReq{ol: ol}
-	} else {
-		ol.fanFree = fr.nextFree
-		fr.nextFree = nil
+		slab := make([]fanReq, poolSlab)
+		for i := range slab {
+			slab[i].ol = ol
+			if i+1 < len(slab) {
+				slab[i].nextFree = &slab[i+1]
+			}
+		}
+		fr = &slab[0]
 	}
+	ol.fanFree = fr.nextFree
+	fr.nextFree = nil
 	w := ol.cfg.fan.Width
 	if cap(fr.done) < w {
 		fr.done = make([]bool, w)
@@ -341,15 +350,24 @@ func (ol *openLoop) maybeFreeFanReq(fr *fanReq) {
 	ol.fanFree = fr
 }
 
+// newHedgeTimer takes a hedge timer from the pool, refilling it with a
+// fresh slab when empty.
+//
 //pool:get
 func (ol *openLoop) newHedgeTimer(fr *fanReq, slot int) *hedgeTimer {
 	ht := ol.htFree
 	if ht == nil {
-		ht = &hedgeTimer{ol: ol}
-	} else {
-		ol.htFree = ht.next
-		ht.next = nil
+		slab := make([]hedgeTimer, poolSlab)
+		for i := range slab {
+			slab[i].ol = ol
+			if i+1 < len(slab) {
+				slab[i].next = &slab[i+1]
+			}
+		}
+		ht = &slab[0]
 	}
+	ol.htFree = ht.next
+	ht.next = nil
 	ht.fr, ht.gen, ht.stage, ht.slot = fr, fr.gen, fr.stage, slot
 	return ht
 }

@@ -40,13 +40,15 @@ func (p nasProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 	worker := func() proc.Behavior {
 		remaining := iters
 		computing := false
+		var chunk proc.Compute // owned action (see proc.Action)
 		return func(t *proc.Task, r *sim.Rand) proc.Action {
 			if remaining <= 0 {
 				return proc.Exit{}
 			}
 			if !computing {
 				computing = true
-				return proc.Compute{Cycles: work(r)}
+				chunk.Cycles = work(r)
+				return &chunk
 			}
 			computing = false
 			remaining--

@@ -47,17 +47,28 @@ type request struct {
 // attempt is delivered.
 func (rq *request) RunAt(now sim.Time) { rq.ol.deliver(rq) }
 
-// newRequest takes a request from the pool.
+// poolSlab is how many records one refill of an open-loop pool's
+// free-list allocates at once (requests, fan-out records, hedge timers).
+const poolSlab = 64
+
+// newRequest takes a request from the pool, refilling it with a fresh
+// slab when empty.
 //
 //pool:get
 func (ol *openLoop) newRequest(class, attempt int) *request {
 	rq := ol.reqFree
 	if rq == nil {
-		rq = &request{ol: ol}
-	} else {
-		ol.reqFree = rq.nextFree
-		rq.nextFree = nil
+		slab := make([]request, poolSlab)
+		for i := range slab {
+			slab[i].ol = ol
+			if i+1 < len(slab) {
+				slab[i].nextFree = &slab[i+1]
+			}
+		}
+		rq = &slab[0]
 	}
+	ol.reqFree = rq.nextFree
+	rq.nextFree = nil
 	rq.class, rq.attempt = class, attempt
 	rq.arrived, rq.deadline, rq.enqueued = 0, 0, 0
 	rq.fan, rq.slot, rq.fstage, rq.hedgeN = nil, 0, 0, 0
@@ -336,6 +347,7 @@ func (ol *openLoop) handler() proc.Behavior {
 	state := stRecv
 	var cur *request
 	var svcStart sim.Time
+	var svc proc.Compute // owned action (see proc.Action)
 	return func(t *proc.Task, r *sim.Rand) proc.Action {
 		for {
 			switch state {
@@ -357,7 +369,8 @@ func (ol *openLoop) handler() proc.Behavior {
 					}
 					cur, svcStart = rq, now
 					state = stServed
-					return proc.Compute{Cycles: ol.cfg.classes[rq.class].svc(r)}
+					svc.Cycles = ol.cfg.classes[rq.class].svc(r)
+					return &svc
 				}
 				sojourn := sim.Duration(now - rq.enqueued)
 				if ol.cfg.adm.dropAtDequeue(now, sojourn, len(ol.queue)) {
@@ -372,7 +385,8 @@ func (ol *openLoop) handler() proc.Behavior {
 				}
 				cur, svcStart = rq, now
 				state = stServed
-				return proc.Compute{Cycles: ol.cfg.classes[rq.class].svc(r)}
+				svc.Cycles = ol.cfg.classes[rq.class].svc(r)
+				return &svc
 			default: // stServed: the service compute just finished
 				rq := cur
 				cur = nil

@@ -212,19 +212,27 @@ func init() {
 // mix's service distributions; unlabeled entries draw from the mix.
 // The base arrival count is the trace length (scale still caps it).
 func RegisterTraceWorkload(name string, entries []TraceEntry, policy string) error {
+	if len(entries) == 0 {
+		return fmt.Errorf("workload: trace %q has no arrivals", name)
+	}
 	sp := &ArrivalSpec{Kind: ArrTrace, Path: name, Trace: entries}
-	if err := sp.Validate(); err != nil {
-		return err
+	if _, err := sp.Source(); err != nil {
+		return fmt.Errorf("workload: trace %q: %w", name, err)
+	}
+	prof := referenceOverload(1, policy)
+	if _, err := ParseAdmission(prof.admissionSpec()); err != nil {
+		return fmt.Errorf("workload: trace %q admission: %w", name, err)
 	}
 	if _, err := ByName(name); err == nil {
 		return fmt.Errorf("workload: %q already registered", name)
 	}
-	prof := referenceOverload(1, policy)
 	register(&Workload{
 		Name:         name,
 		Suite:        "trace",
 		PaperSeconds: 1,
 		Install: func(m *cpu.Machine, scale float64) {
+			// Both were checked at registration; each cell builds its
+			// own because sources and admission policies carry state.
 			src, err := sp.Source()
 			if err != nil {
 				panic(fmt.Sprintf("workload: trace source: %v", err))

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/cfs"
@@ -204,5 +205,28 @@ func TestRegisterTraceWorkload(t *testing.T) {
 	}
 	if got := res.Custom["ovl_offered"] - res.Custom["ovl_retries"]; got != 400 {
 		t.Errorf("base arrivals %g, want the full trace (400)", got)
+	}
+}
+
+// TestRegisterTraceWorkloadRejects: an empty trace and a bad admission
+// spec are registration errors, not panics inside the first cell, and
+// neither leaves a workload behind.
+func TestRegisterTraceWorkloadRejects(t *testing.T) {
+	one := []TraceEntry{{T: 0}, {T: 1_000_000}}
+	for _, tc := range []struct {
+		name, policy string
+		entries      []TraceEntry
+		want         string
+	}{
+		{"trace/test-empty", "codel", nil, "no arrivals"},
+		{"trace/test-bogus", "codel:bogus=1", one, `unknown parameter "bogus"`},
+	} {
+		err := RegisterTraceWorkload(tc.name, tc.entries, tc.policy)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if _, err := ByName(tc.name); err == nil {
+			t.Errorf("%s: registered despite the error", tc.name)
+		}
 	}
 }

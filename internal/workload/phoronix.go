@@ -102,6 +102,8 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 		started := p.StartIdle <= 0
 		var burstStart sim.Time
 		var burstIdeal sim.Duration
+		var burst proc.Compute // owned actions (see proc.Action)
+		var wait proc.Sleep
 		return func(t *proc.Task, r *sim.Rand) proc.Action {
 			if !started {
 				started = true
@@ -115,7 +117,8 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 				c := work(r)
 				burstStart = t.Now
 				burstIdeal = proc.TimeFor(c, nominal)
-				return proc.Compute{Cycles: c}
+				burst.Cycles = c
+				return &burst
 			}
 			computing = false
 			remaining--
@@ -130,7 +133,8 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 				c := work(r)
 				burstStart = t.Now
 				burstIdeal = proc.TimeFor(c, nominal)
-				return proc.Compute{Cycles: c}
+				burst.Cycles = c
+				return &burst
 			}
 			d := gap.Draw(r)
 			if p.ScaleGap && burstIdeal > 0 {
@@ -143,7 +147,8 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 				}
 				d = sim.Duration(float64(d) * (0.25 + 0.75*ratio))
 			}
-			return proc.Sleep{D: d}
+			wait.D = d
+			return &wait
 		}
 	}
 

@@ -69,6 +69,8 @@ func (p serverProfile) install(m *cpu.Machine, scale float64) {
 		left := perHandler + extra
 		state := 0
 		reqStart := sim.Time(-1)
+		var serve proc.Compute // owned actions (see proc.Action)
+		var rest proc.Sleep
 		return func(t *proc.Task, r *sim.Rand) proc.Action {
 			switch state {
 			case 0:
@@ -86,12 +88,14 @@ func (p serverProfile) install(m *cpu.Machine, scale float64) {
 				if p.Pause > 0 {
 					state = 1
 				}
-				return proc.Compute{Cycles: svc(r)}
+				serve.Cycles = svc(r)
+				return &serve
 			default:
 				acc.record(t.Now - reqStart)
 				reqStart = -1
 				state = 0
-				return proc.Sleep{D: pause.Draw(r)}
+				rest.D = pause.Draw(r)
+				return &rest
 			}
 		}
 	}
