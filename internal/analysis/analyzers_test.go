@@ -51,10 +51,6 @@ func TestPoollife(t *testing.T) {
 	antest.Run(t, analysis.Poollife, "poollife", "repro/internal/sim/lintfixture")
 }
 
-func TestGenguard(t *testing.T) {
-	antest.Run(t, analysis.Genguard, "genguard", "repro/internal/workload/lintfixture")
-}
-
 func TestEngineown(t *testing.T) {
 	antest.Run(t, analysis.Engineown, "engineown", "repro/internal/sim/lintfixture")
 }

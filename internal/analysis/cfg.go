@@ -3,54 +3,29 @@ package analysis
 // This file is the suite's control-flow-graph core: intraprocedural
 // basic blocks built from go/ast, with short-circuit conditions
 // decomposed so that `a && b` guards dominate exactly the code they
-// guard. The dataflow engines in dataflow.go (dominance, reaching
-// definitions) run over these graphs; poollife and genguard are the
-// first analyzers on top. Everything here is standard library only,
-// matching the loader's `go list -export` approach.
+// guard. The reaching-definitions engine in dataflow.go runs over
+// these graphs; poollife is the analyzer on top. Everything here is
+// standard library only, matching the loader's `go list -export`
+// approach.
 
 import (
 	"go/ast"
 	"go/token"
 )
 
-// EdgeKind labels a control-flow edge. Condition blocks have exactly
-// one EdgeTrue and one EdgeFalse successor; all other edges are EdgeSeq.
-type EdgeKind uint8
-
-const (
-	EdgeSeq EdgeKind = iota
-	EdgeTrue
-	EdgeFalse
-)
-
-// An Edge is one directed control-flow transfer.
-type Edge struct {
-	To   *Block
-	Kind EdgeKind
-}
-
 // A Block is one basic block: a maximal straight-line sequence of
 // statements (and condition expressions) with branching only at the
-// end. Nodes holds the block's AST nodes in execution order; when Cond
-// is non-nil it is the last node and the block branches on it (the
-// short-circuit decomposition guarantees Cond contains no && / || / !
-// at its top level).
+// end. Nodes holds the block's AST nodes in execution order. A
+// condition block ends with the condition it branches on (the
+// short-circuit decomposition guarantees it contains no && / || / ! at
+// its top level) and has exactly two successors, the true edge's
+// target first and the false edge's second; a range head likewise
+// lists the loop body, then the block after the loop.
 type Block struct {
 	Index int
 	Nodes []ast.Node
-	Cond  ast.Expr
-	Succs []Edge
+	Succs []*Block
 	Preds []*Block
-}
-
-// succ returns the first successor of the given kind, or nil.
-func (b *Block) succ(kind EdgeKind) *Block {
-	for _, e := range b.Succs {
-		if e.Kind == kind {
-			return e.To
-		}
-	}
-	return nil
 }
 
 // A CFG is the control-flow graph of one function body. Entry is the
@@ -76,11 +51,11 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	b.cur = b.cfg.Entry
 	b.labels = map[string]*labelInfo{}
 	b.stmtList(body.List)
-	b.edge(b.cur, b.cfg.Exit, EdgeSeq)
+	b.edge(b.cur, b.cfg.Exit)
 	// goto targets seen only after every statement was built.
 	for _, g := range b.pendingGotos {
 		if li := b.labels[g.label]; li != nil && li.block != nil {
-			b.edge(g.from, li.block, EdgeSeq)
+			b.edge(g.from, li.block)
 		}
 	}
 	// Deferred statements execute at function exit.
@@ -121,11 +96,11 @@ func (b *cfgBuilder) newBlock() *Block {
 	return blk
 }
 
-func (b *cfgBuilder) edge(from, to *Block, kind EdgeKind) {
+func (b *cfgBuilder) edge(from, to *Block) {
 	if from == nil || to == nil {
 		return
 	}
-	from.Succs = append(from.Succs, Edge{To: to, Kind: kind})
+	from.Succs = append(from.Succs, to)
 	to.Preds = append(to.Preds, from)
 }
 
@@ -180,9 +155,8 @@ func (b *cfgBuilder) cond(e ast.Expr, t, f *Block) {
 	}
 	blk := b.use()
 	blk.Nodes = append(blk.Nodes, e)
-	blk.Cond = e
-	b.edge(blk, t, EdgeTrue)
-	b.edge(blk, f, EdgeFalse)
+	b.edge(blk, t)
+	b.edge(blk, f)
 	b.cur = nil
 }
 
@@ -224,7 +198,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.LabeledStmt:
 		lb := b.newBlock()
-		b.edge(b.use(), lb, EdgeSeq)
+		b.edge(b.use(), lb)
 		b.cur = lb
 		li := b.labels[s.Label.Name]
 		if li == nil {
@@ -247,16 +221,16 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.cond(s.Cond, then, join)
 			b.cur = then
 			b.stmtList(s.Body.List)
-			b.edge(b.cur, join, EdgeSeq)
+			b.edge(b.cur, join)
 		} else {
 			els := b.newBlock()
 			b.cond(s.Cond, then, els)
 			b.cur = then
 			b.stmtList(s.Body.List)
-			b.edge(b.cur, join, EdgeSeq)
+			b.edge(b.cur, join)
 			b.cur = els
 			b.stmt(s.Else)
-			b.edge(b.cur, join, EdgeSeq)
+			b.edge(b.cur, join)
 		}
 		b.cur = join
 
@@ -274,22 +248,22 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			post = b.newBlock()
 			cont = post
 		}
-		b.edge(b.use(), head, EdgeSeq)
+		b.edge(b.use(), head)
 		b.cur = head
 		if s.Cond != nil {
 			b.cond(s.Cond, body, after)
 		} else {
-			b.edge(b.use(), body, EdgeSeq)
+			b.edge(b.use(), body)
 			b.cur = nil
 		}
 		b.pushLoop(label, after, cont)
 		b.cur = body
 		b.stmtList(s.Body.List)
-		b.edge(b.cur, cont, EdgeSeq)
+		b.edge(b.cur, cont)
 		if post != nil {
 			b.cur = post
 			b.stmt(s.Post)
-			b.edge(b.cur, head, EdgeSeq)
+			b.edge(b.cur, head)
 		}
 		b.popLoop()
 		b.cur = after
@@ -299,16 +273,16 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		head := b.newBlock()
 		body := b.newBlock()
 		after := b.newBlock()
-		b.edge(b.use(), head, EdgeSeq)
+		b.edge(b.use(), head)
 		// The RangeStmt node itself carries the X evaluation and the
 		// per-iteration key/value definitions.
 		head.Nodes = append(head.Nodes, s)
-		b.edge(head, body, EdgeTrue)
-		b.edge(head, after, EdgeFalse)
+		b.edge(head, body)
+		b.edge(head, after)
 		b.pushLoop(label, after, head)
 		b.cur = body
 		b.stmtList(s.Body.List)
-		b.edge(b.cur, head, EdgeSeq)
+		b.edge(b.cur, head)
 		b.popLoop()
 		b.cur = after
 
@@ -326,20 +300,20 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		for _, cc := range s.Body.List {
 			comm := cc.(*ast.CommClause)
 			blk := b.newBlock()
-			b.edge(dispatch, blk, EdgeSeq)
+			b.edge(dispatch, blk)
 			if comm.Comm != nil {
 				blk.Nodes = append(blk.Nodes, comm.Comm)
 			}
 			b.cur = blk
 			b.stmtList(comm.Body)
-			b.edge(b.cur, after, EdgeSeq)
+			b.edge(b.cur, after)
 		}
 		b.popLoop()
 		b.cur = after
 
 	case *ast.ReturnStmt:
 		b.append(s)
-		b.edge(b.cur, b.cfg.Exit, EdgeSeq)
+		b.edge(b.cur, b.cfg.Exit)
 		b.cur = nil
 
 	case *ast.BranchStmt:
@@ -350,11 +324,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		switch s.Tok {
 		case token.BREAK:
 			b.append(s)
-			b.edge(b.cur, b.findBreak(label), EdgeSeq)
+			b.edge(b.cur, b.findBreak(label))
 			b.cur = nil
 		case token.CONTINUE:
 			b.append(s)
-			b.edge(b.cur, b.findContinue(label), EdgeSeq)
+			b.edge(b.cur, b.findContinue(label))
 			b.cur = nil
 		case token.GOTO:
 			b.append(s)
@@ -373,7 +347,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.append(s)
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				b.edge(b.cur, b.cfg.Exit, EdgeSeq)
+				b.edge(b.cur, b.cfg.Exit)
 				b.cur = nil
 			}
 		}
@@ -420,7 +394,7 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Stmt, body *ast.BlockStm
 	hasDefault := false
 	for i, cc := range clauses {
 		blocks[i] = b.newBlock()
-		b.edge(dispatch, blocks[i], EdgeSeq)
+		b.edge(dispatch, blocks[i])
 		if cc.List == nil {
 			hasDefault = true
 		}
@@ -431,7 +405,7 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Stmt, body *ast.BlockStm
 		}
 	}
 	if !hasDefault {
-		b.edge(dispatch, after, EdgeSeq)
+		b.edge(dispatch, after)
 	}
 	b.pushLoop(label, after, nil)
 	for i, cc := range clauses {
@@ -446,9 +420,9 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Stmt, body *ast.BlockStm
 		}
 		b.stmtList(stmts)
 		if fallsThrough && i+1 < len(blocks) {
-			b.edge(b.cur, blocks[i+1], EdgeSeq)
+			b.edge(b.cur, blocks[i+1])
 		} else {
-			b.edge(b.cur, after, EdgeSeq)
+			b.edge(b.cur, after)
 		}
 	}
 	b.popLoop()

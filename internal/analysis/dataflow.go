@@ -1,9 +1,8 @@
 package analysis
 
-// Dataflow engines over the CFGs built in cfg.go: dominance and
-// reaching definitions over go/types objects, plus the small bitset
-// representation both share. These are the primitives the
-// pooled-record analyzers (poollife, genguard) are built on.
+// The dataflow engine over the CFGs built in cfg.go: reaching
+// definitions over go/types objects, on a small bitset representation.
+// It is the primitive the pooled-record analyzer poollife is built on.
 
 import (
 	"go/ast"
@@ -28,34 +27,11 @@ func (b bitset) clone() bitset {
 	return c
 }
 
-func (b bitset) fill() {
+// or sets b |= o.
+func (b bitset) or(o bitset) {
 	for i := range b {
-		b[i] = ^uint64(0)
+		b[i] |= o[i]
 	}
-}
-
-// or sets b |= o and reports whether b changed.
-func (b bitset) or(o bitset) bool {
-	changed := false
-	for i := range b {
-		if n := b[i] | o[i]; n != b[i] {
-			b[i] = n
-			changed = true
-		}
-	}
-	return changed
-}
-
-// and sets b &= o and reports whether b changed.
-func (b bitset) and(o bitset) bool {
-	changed := false
-	for i := range b {
-		if n := b[i] & o[i]; n != b[i] {
-			b[i] = n
-			changed = true
-		}
-	}
-	return changed
 }
 
 func (b bitset) equal(o bitset) bool {
@@ -67,64 +43,7 @@ func (b bitset) equal(o bitset) bool {
 	return true
 }
 
-// ---- dominance ------------------------------------------------------
-
-// Dominators computes the dominator sets of c: bit d of dom[b] is set
-// iff every path from Entry to block b passes through block d. The
-// classic iterative formulation over reverse postorder; unreachable
-// blocks keep the full set (vacuously dominated by everything).
-func (c *CFG) Dominators() []bitset {
-	n := len(c.Blocks)
-	dom := make([]bitset, n)
-	for i := range dom {
-		dom[i] = newBitset(n)
-		dom[i].fill()
-		// Mask the tail word so equality checks stay exact.
-		trimBitset(dom[i], n)
-	}
-	entry := c.Entry.Index
-	dom[entry] = newBitset(n)
-	dom[entry].set(entry)
-
-	order := c.reversePostorder()
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b.Index == entry {
-				continue
-			}
-			in := newBitset(n)
-			in.fill()
-			trimBitset(in, n)
-			seen := false
-			for _, p := range b.Preds {
-				in.and(dom[p.Index])
-				seen = true
-			}
-			if !seen {
-				continue // unreachable: keep the full set
-			}
-			in.set(b.Index)
-			if !in.equal(dom[b.Index]) {
-				dom[b.Index] = in
-				changed = true
-			}
-		}
-	}
-	return dom
-}
-
-// Dominates reports whether a dominates b under dom (as returned by
-// Dominators).
-func Dominates(dom []bitset, a, b *Block) bool {
-	return dom[b.Index].has(a.Index)
-}
-
-func trimBitset(b bitset, n int) {
-	if rem := n & 63; rem != 0 && len(b) > 0 {
-		b[len(b)-1] &= (1 << rem) - 1
-	}
-}
+// ---- reaching definitions ------------------------------------------
 
 // reversePostorder returns the blocks reachable from Entry in reverse
 // postorder of a depth-first walk.
@@ -134,9 +53,9 @@ func (c *CFG) reversePostorder() []*Block {
 	var walk func(*Block)
 	walk = func(b *Block) {
 		seen[b.Index] = true
-		for _, e := range b.Succs {
-			if !seen[e.To.Index] {
-				walk(e.To)
+		for _, s := range b.Succs {
+			if !seen[s.Index] {
+				walk(s)
 			}
 		}
 		post = append(post, b)
@@ -147,8 +66,6 @@ func (c *CFG) reversePostorder() []*Block {
 	}
 	return post
 }
-
-// ---- reaching definitions ------------------------------------------
 
 // A DefSite is one definition of a variable: an assignment, a short
 // variable declaration, a range binding — or, when Node is nil, the
@@ -167,11 +84,9 @@ type DefSite struct {
 // Defs indexed by bit position and the definitions live on entry to
 // each block.
 type ReachSets struct {
-	CFG  *CFG
 	Defs []DefSite
 	In   []bitset
 
-	info    *types.Info
 	defsOf  map[types.Object][]int // object -> def indices
 	nodeGen map[ast.Node][]int     // node -> def indices generated there
 }
@@ -183,8 +98,6 @@ type ReachSets struct {
 // after the node's ordinary defs).
 func BuildReachingDefs(c *CFG, info *types.Info, params []types.Object, synthetic func(ast.Node) []types.Object) *ReachSets {
 	r := &ReachSets{
-		CFG:     c,
-		info:    info,
 		defsOf:  map[types.Object][]int{},
 		nodeGen: map[ast.Node][]int{},
 	}
@@ -279,9 +192,6 @@ func (r *ReachSets) WalkBlock(b *Block, visit func(n ast.Node, reaching bitset))
 	}
 }
 
-// DefsOf returns the indices of obj's definition sites.
-func (r *ReachSets) DefsOf(obj types.Object) []int { return r.defsOf[obj] }
-
 // funcEntryObjects returns the objects defined at fn's entry: the
 // receiver, parameters, and named results. These seed reaching
 // definitions so uses of unassigned parameters still resolve to a def.
@@ -300,26 +210,6 @@ func funcEntryObjects(info *types.Info, fn *ast.FuncDecl) []types.Object {
 		}
 	}
 	addFields(fn.Recv)
-	addFields(fn.Type.Params)
-	addFields(fn.Type.Results)
-	return objs
-}
-
-// funcLitEntryObjects is funcEntryObjects for function literals.
-func funcLitEntryObjects(info *types.Info, fn *ast.FuncLit) []types.Object {
-	var objs []types.Object
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, id := range f.Names {
-				if obj := info.Defs[id]; obj != nil {
-					objs = append(objs, obj)
-				}
-			}
-		}
-	}
 	addFields(fn.Type.Params)
 	addFields(fn.Type.Results)
 	return objs

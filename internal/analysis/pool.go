@@ -1,8 +1,8 @@
 package analysis
 
-// Pool annotation collection shared by the poollife and genguard
-// analyzers. Slab/free-list acquire and release functions are marked
-// with machine-readable directives in their doc comments:
+// Pool annotation collection for the poollife analyzer. Slab/free-list
+// acquire and release functions are marked with machine-readable
+// directives in their doc comments:
 //
 //	//pool:get   the function returns a pooled record
 //	//pool:put   the function releases its first argument to the pool

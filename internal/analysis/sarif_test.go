@@ -27,7 +27,7 @@ func goldenDiags() []Diagnostic {
 		{
 			Analyzer: UnusedDirectiveAnalyzer,
 			Pos:      token.Position{Filename: "/repo/internal/workload/fanout.go", Line: 9, Column: 1},
-			Message:  "stale //lint:genguard comment: suppresses nothing; delete it",
+			Message:  "stale //lint:maporder comment: suppresses nothing; delete it",
 		},
 	}
 }

@@ -97,23 +97,6 @@ func TestSeededUseAfterRecycle(t *testing.T) {
 		regexp.MustCompile(`pooled record r used after release \(released at events\.go:\d+\)`))
 }
 
-// TestSeededUnguardedGenCallback strips the generation comparison from
-// the hedge-timer callback (internal/workload/fanout.go hedgeFire): the
-// callback then acts on a fanReq the pool may have recycled between arm
-// and fire, and genguard must report the unguarded dereferences.
-func TestSeededUnguardedGenCallback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a mutated copy of internal/workload")
-	}
-	root := repoRoot(t)
-	dir := mutatePackage(t, filepath.Join(root, "internal", "workload"), "fanout.go",
-		"if fr.gen == ht.gen && fr.stage == ht.stage {",
-		"if fr.stage == ht.stage {")
-	diags := runOn(t, dir, "repro/internal/workload", analysis.Genguard)
-	expect(t, diags, "fanout.go",
-		regexp.MustCompile(`pooled record fr dereferenced in engine callback before its generation check`))
-}
-
 // TestSeededMapRange rewrites workload.Names (internal/workload/
 // workload.go) to collect the registry's keys with a bare range and no
 // sort, so -list and every name-ordered output would follow the random

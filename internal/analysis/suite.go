@@ -1,9 +1,9 @@
 package analysis
 
 // Suite returns the full nestlint analyzer suite in reporting order.
-// The first five are the AST-level contract checks; poollife, genguard
-// and engineown are the dataflow analyzers built on the CFG core
-// (cfg.go / dataflow.go).
+// The first five are the AST-level contract checks; poollife and
+// engineown are the dataflow analyzers built on the CFG core (cfg.go /
+// dataflow.go).
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Simtime,
@@ -12,7 +12,6 @@ func Suite() []*Analyzer {
 		Obsguard,
 		Postdiscipline,
 		Poollife,
-		Genguard,
 		Engineown,
 	}
 }

@@ -1,24 +1,18 @@
 package obs
 
-import (
-	"maps"
-	"sync"
-	"sync/atomic"
+import "repro/internal/ordered"
 
-	"repro/internal/ordered"
-)
-
-// Counter is one named atomic tally. The zero value is ready to use; a
-// nil *Counter drops increments, so hot paths can hold a handle without
+// Counter is one named tally. The zero value is ready to use; a nil
+// *Counter drops increments, so hot paths can hold a handle without
 // caring whether observability is on.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increments the counter. Nil-safe.
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
@@ -27,7 +21,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Counters is a run-wide registry of named counters. Names are dotted
@@ -37,39 +31,29 @@ func (c *Counter) Value() int64 {
 // "cpu.balance.<kind>" for runtime events, "freq.grant"/"gov.request"
 // for frequency selection. See docs/OBSERVABILITY.md for the full list.
 //
-// The registry is safe for concurrent use. Lookups read an immutable
-// name→counter map through an atomic pointer and take no lock;
-// increments are atomic. Registering a new name copies the map under a
-// mutex and publishes the copy, so readers always see a complete map.
-// Names are few and registered once each, so the copies are rare. It
-// is the repository's first intentionally concurrent-safe structure
-// (the simulation itself is single-goroutine).
+// The registry is not safe for concurrent use: like the simulation
+// that feeds it, it belongs to one goroutine at a time. A grid that
+// shares one hub across its cells runs them serially, and the
+// experiment pool reads a cell's counters on the goroutine that ran
+// the cell.
 //
 // Events do not look their counters up by name. Each fixed name an
 // event bumps ("gauge.core", "runs", ...) resolves once per registry
 // into its own slot, and each composed name ("<sched>.<path>",
 // "fault.<action>", ...) is cached under the parts it is built from, so
-// the per-event cost is one atomic load (or one map probe on the parts)
+// the per-event cost is one slot load (or one map probe on the parts)
 // with no string built. A name still registers on its first increment,
 // so Names and Snapshot list exactly the names that were bumped.
 type Counters struct {
-	mu sync.Mutex // serialises registration
-	m  atomic.Pointer[map[string]*Counter]
-
-	fixed    [numFixed]atomic.Pointer[Counter]
-	composed atomic.Pointer[map[composedKey]*Counter]
+	m        map[string]*Counter
+	fixed    [numFixed]*Counter
+	composed map[composedKey]*Counter
 }
 
 // NewCounters returns an empty registry.
 func NewCounters() *Counters {
-	cs := &Counters{}
-	cs.m.Store(&map[string]*Counter{})
-	cs.composed.Store(&map[composedKey]*Counter{})
-	return cs
+	return &Counters{m: map[string]*Counter{}, composed: map[composedKey]*Counter{}}
 }
-
-// lookup returns the counter registered under name, or nil.
-func (cs *Counters) lookup(name string) *Counter { return (*cs.m.Load())[name] }
 
 // Handle returns the counter registered under name, creating it if
 // needed. Every call hashes name; a hot path should call Handle once
@@ -80,25 +64,11 @@ func (cs *Counters) Handle(name string) *Counter {
 	if cs == nil {
 		return nil
 	}
-	if c := cs.lookup(name); c != nil {
-		return c
+	c := cs.m[name]
+	if c == nil {
+		c = &Counter{}
+		cs.m[name] = c
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.registerLocked(name)
-}
-
-// registerLocked returns name's counter, publishing a new one if name
-// is not registered yet. The caller holds cs.mu.
-func (cs *Counters) registerLocked(name string) *Counter {
-	old := *cs.m.Load()
-	if c := old[name]; c != nil {
-		return c
-	}
-	next := maps.Clone(old)
-	c := &Counter{}
-	next[name] = c
-	cs.m.Store(&next)
 	return c
 }
 
@@ -113,7 +83,7 @@ func (cs *Counters) Value(name string) int64 {
 	if cs == nil {
 		return 0
 	}
-	return cs.lookup(name).Value()
+	return cs.m[name].Value()
 }
 
 // Names returns all registered counter names, sorted.
@@ -121,7 +91,7 @@ func (cs *Counters) Names() []string {
 	if cs == nil {
 		return nil
 	}
-	return ordered.Keys(*cs.m.Load())
+	return ordered.Keys(cs.m)
 }
 
 // Snapshot returns a point-in-time copy of every counter.
@@ -129,10 +99,9 @@ func (cs *Counters) Snapshot() map[string]int64 {
 	if cs == nil {
 		return nil
 	}
-	m := *cs.m.Load()
-	out := make(map[string]int64, len(m))
-	for _, name := range ordered.Keys(m) {
-		out[name] = m[name].Value()
+	out := make(map[string]int64, len(cs.m))
+	for _, name := range ordered.Keys(cs.m) {
+		out[name] = cs.m[name].v
 	}
 	return out
 }
@@ -196,15 +165,14 @@ var fixedNames = [numFixed]string{
 }
 
 // bump adds one to a fixed-name counter, resolving its handle on first
-// use. Racing first uses resolve to the same handle, since Handle is
-// idempotent per name.
+// use.
 func (cs *Counters) bump(id fixedName) {
-	c := cs.fixed[id].Load()
+	c := cs.fixed[id]
 	if c == nil {
 		c = cs.Handle(fixedNames[id])
-		cs.fixed[id].Store(c)
+		cs.fixed[id] = c
 	}
-	c.v.Add(1)
+	c.v++
 }
 
 // family is how a composed counter name is built from its parts.
@@ -251,29 +219,14 @@ func (k composedKey) name() string {
 	return familyPrefix[k.fam] + k.a
 }
 
-// bumpComposed adds one to the counter named by fam and its parts. The
-// parts-keyed cache is copy-on-write like the name map, so a hit takes
-// no lock and builds no string.
+// bumpComposed adds one to the counter named by fam and its parts. A
+// hit in the parts-keyed cache builds no string.
 func (cs *Counters) bumpComposed(fam family, a, b string) {
 	k := composedKey{fam, a, b}
-	c := (*cs.composed.Load())[k]
+	c := cs.composed[k]
 	if c == nil {
-		c = cs.resolveComposed(k)
+		c = cs.Handle(k.name())
+		cs.composed[k] = c
 	}
-	c.v.Add(1)
-}
-
-// resolveComposed registers k's name and caches its handle under k.
-func (cs *Counters) resolveComposed(k composedKey) *Counter {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	old := *cs.composed.Load()
-	if c := old[k]; c != nil {
-		return c
-	}
-	c := cs.registerLocked(k.name())
-	next := maps.Clone(old)
-	next[k] = c
-	cs.composed.Store(&next)
-	return c
+	c.v++
 }

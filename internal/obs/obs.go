@@ -22,14 +22,13 @@
 // pointer to it instead (h.Emit(&g.core), h.Emit(&m.slice)); the
 // interface then holds the pointer and nothing is allocated.
 //
-// The counter registry (Counters) is safe for concurrent use; recorders
-// are not, matching the single-goroutine simulation loop.
+// A hub, its counter registry and its recorders are driven by one
+// goroutine, matching the single-goroutine simulation loop.
 package obs
 
 import (
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -69,7 +68,7 @@ type Recorder interface {
 type Hub struct {
 	rec      Recorder
 	counters *Counters
-	events   atomic.Int64
+	events   int64
 }
 
 // New returns a hub with a fresh counter registry fanning events out to
@@ -116,7 +115,7 @@ func (h *Hub) Emit(ev Event) {
 		recorded = true
 	}
 	if recorded {
-		h.events.Add(1)
+		h.events++
 	}
 }
 
@@ -150,7 +149,7 @@ func (h *Hub) Events() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.events.Load()
+	return h.events
 }
 
 // Multi fans events out to several recorders in order.

@@ -2,10 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -53,123 +50,6 @@ func TestHubCountsAndSnapshots(t *testing.T) {
 	}
 	if h.Events() != 3 {
 		t.Fatalf("events = %d", h.Events())
-	}
-}
-
-// TestCountersConcurrent registers new names from several
-// goroutines while they also bump, read and snapshot shared ones; run
-// under -race it proves the copy-on-write publish safe. Every total must
-// come out exact, a goroutine must see its own registrations at once,
-// and Names must end sorted and complete.
-func TestCountersConcurrent(t *testing.T) {
-	const workers, perWorker = 8, 200
-	shared := []string{"s.a", "s.b", "s.c", "s.d"}
-	cs := NewCounters()
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				own := fmt.Sprintf("w%d.n%03d", g, i)
-				cs.Add(own, int64(i+1))
-				cs.Add(shared[i%len(shared)], 1)
-				cs.Handle(shared[(i+1)%len(shared)]).Add(1)
-				if v := cs.Value(own); v != int64(i+1) {
-					errs <- fmt.Errorf("%s = %d right after registering it, want %d", own, v, i+1)
-					return
-				}
-				if i%16 == 0 {
-					if snap := cs.Snapshot(); snap[own] != int64(i+1) {
-						errs <- fmt.Errorf("snapshot misses %s (got %d)", own, snap[own])
-						return
-					}
-					if names := cs.Names(); !sort.StringsAreSorted(names) {
-						errs <- fmt.Errorf("Names() not sorted mid-run")
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	want := append([]string(nil), shared...)
-	for _, name := range shared {
-		if v, w := cs.Value(name), int64(workers*perWorker*2/len(shared)); v != w {
-			t.Errorf("%s = %d, want %d", name, v, w)
-		}
-	}
-	for g := 0; g < workers; g++ {
-		for i := 0; i < perWorker; i++ {
-			name := fmt.Sprintf("w%d.n%03d", g, i)
-			want = append(want, name)
-			if v := cs.Value(name); v != int64(i+1) {
-				t.Errorf("%s = %d, want %d", name, v, i+1)
-			}
-		}
-	}
-	sort.Strings(want)
-	names := cs.Names()
-	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("Names() has %d names, want the %d registered, sorted", len(names), len(want))
-	}
-	if snap := cs.Snapshot(); len(snap) != len(want) {
-		t.Fatalf("Snapshot() has %d counters, want %d", len(snap), len(want))
-	}
-}
-
-// TestCountersConcurrentEvents emits events from several goroutines
-// into one counter-only hub while a reader snapshots it, so that under
-// -race the first-use resolution of fixed slots and of the parts-keyed
-// cache runs concurrently with itself and with lookups by name. The
-// totals must equal a by-name tally of the same events.
-func TestCountersConcurrentEvents(t *testing.T) {
-	const workers, rounds = 8, 50
-	var events []Event
-	for i, ev := range allEventKinds() {
-		events = append(events, ev,
-			PlacementDecision{Sched: "w", Path: fmt.Sprint(i)},
-			Fault{Action: fmt.Sprint("a", i%3)},
-			Fanout{Action: "sub_cancel", Cause: fmt.Sprint("c", i%4)})
-	}
-	h := New()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < rounds; i++ {
-			h.Snapshot()
-			h.Counters().Value("gauge.core")
-		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				for _, ev := range events {
-					h.Emit(ev)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	<-done
-
-	tally := NewCounters()
-	for _, ev := range events {
-		for _, name := range counterNames(t, ev) {
-			tally.Add(name, workers*rounds)
-		}
-	}
-	if got, want := h.Snapshot(), tally.Snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("concurrent event counts:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -244,7 +244,7 @@ var fsubName = [...]string{"sub_done", "sub_cancel", "sub_timeout", "sub_shed"}
 // fanReq is the fan-out state of one in-flight parent request: the
 // current stage's per-slot completion/outstanding/hedge accounting and
 // the aggregate terminal bookkeeping. Pooled on the owning openLoop;
-// gen detects stale hedge timers against a recycled record.
+// an armed hedge timer keeps it out of the pool.
 type fanReq struct {
 	ol *openLoop
 	// rq is the parent request; nil once the parent settled (completed,
@@ -265,19 +265,19 @@ type fanReq struct {
 	doneN, failN  int
 	finT          []sim.Time // slot completion times this stage, in order
 	open          int        // attempts issued but not settled, all stages
+	timers        int        // armed hedge timers, all stages
 	doomed        bool
 	pooled        bool
-	gen           uint32
 	nextFree      *fanReq
 }
 
 // hedgeTimer is a pooled engine callback: when it fires, slot gets a
 // duplicate attempt unless the slot (or the whole request) resolved in
-// the meantime. gen/stage make stale timers self-detecting.
+// the meantime. A timer left over from an earlier stage only drops its
+// hold on the record.
 type hedgeTimer struct {
 	ol    *openLoop
 	fr    *fanReq
-	gen   uint32
 	stage int
 	slot  int
 	next  *hedgeTimer
@@ -317,7 +317,7 @@ func (ol *openLoop) newFanReq(rq *request) *fanReq {
 	fr.pending = fr.pending[:w]
 	fr.resetStage()
 	fr.rq, fr.class = rq, rq.class
-	fr.stage, fr.open = 0, 0
+	fr.stage, fr.open, fr.timers = 0, 0, 0
 	fr.need = ol.cfg.fan.Need()
 	fr.doomed, fr.pooled = false, false
 	return fr
@@ -335,17 +335,15 @@ func (fr *fanReq) resetStage() {
 	fr.finT = fr.finT[:0]
 }
 
-// maybeFreeFanReq recycles fr once the parent has settled and every
-// issued attempt is terminal; gen++ invalidates any hedge timers still
-// in flight against the old incarnation.
+// maybeFreeFanReq recycles fr once the parent has settled, every
+// issued attempt is terminal and no hedge timer still holds it.
 //
 //pool:put
 func (ol *openLoop) maybeFreeFanReq(fr *fanReq) {
-	if fr.pooled || fr.rq != nil || fr.open != 0 {
+	if fr.pooled || fr.rq != nil || fr.open != 0 || fr.timers != 0 {
 		return
 	}
 	fr.pooled = true
-	fr.gen++
 	fr.nextFree = ol.fanFree
 	ol.fanFree = fr
 }
@@ -368,7 +366,7 @@ func (ol *openLoop) newHedgeTimer(fr *fanReq, slot int) *hedgeTimer {
 	}
 	ol.htFree = ht.next
 	ht.next = nil
-	ht.fr, ht.gen, ht.stage, ht.slot = fr, fr.gen, fr.stage, slot
+	ht.fr, ht.stage, ht.slot = fr, fr.stage, slot
 	return ht
 }
 
@@ -444,6 +442,7 @@ func (ol *openLoop) armHedge(fr *fanReq, slot int) {
 		return
 	}
 	fr.pending[slot]++
+	fr.timers++
 	ol.m.Engine().PostRunAfter(delay, ol.newHedgeTimer(fr, slot))
 }
 
@@ -474,10 +473,14 @@ func (ol *openLoop) hedgeDelay() (sim.Duration, bool) {
 // passed) in the meantime. A decline that leaves the slot with no
 // outstanding attempts and no armed timers marks the slot failed —
 // otherwise a slot whose last attempt already timed out would wait on
-// a hedge that never comes.
+// a hedge that never comes. Either way the timer then drops its hold,
+// which may recycle fr.
 func (ol *openLoop) hedgeFire(ht *hedgeTimer, now sim.Time) {
 	fr, slot := ht.fr, ht.slot
-	if fr.gen == ht.gen && fr.stage == ht.stage {
+	if fr.pooled {
+		panic("workload: hedge timer fired on a pooled fan-out record")
+	}
+	if fr.stage == ht.stage {
 		fr.pending[slot]--
 		if !fr.doomed && fr.rq != nil && !fr.done[slot] {
 			if fr.stageDeadline == 0 || now < fr.stageDeadline {
@@ -495,7 +498,9 @@ func (ol *openLoop) hedgeFire(ht *hedgeTimer, now sim.Time) {
 			}
 		}
 	}
+	fr.timers--
 	ol.freeHedgeTimer(ht)
+	ol.maybeFreeFanReq(fr)
 }
 
 // subStale reports whether a subtask attempt no longer matters and why:

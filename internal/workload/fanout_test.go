@@ -182,6 +182,39 @@ func TestFanoutConservation(t *testing.T) {
 	}
 }
 
+// TestHedgeTimerHoldsFanReq: an armed hedge timer keeps its fan-out
+// record out of the pool. The parent settles while the timer is armed,
+// so the record must stay unpooled until the timer fires; only then is
+// it recycled, and the next newFanReq hands it out again.
+func TestHedgeTimerHoldsFanReq(t *testing.T) {
+	m := cpu.New(cpu.Config{
+		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
+		Policy: cfs.Default(), Seed: 1,
+	})
+	ol := &openLoop{m: m, cfg: openLoopCfg{
+		fan:   &FanoutSpec{Width: 2, Stages: 1},
+		hedge: HedgeSpec{Kind: HedgeFixed, After: msec, Max: 1},
+	}}
+	rq := &request{ol: ol}
+	fr := ol.newFanReq(rq)
+	ol.armHedge(fr, 0)
+	if fr.timers != 1 {
+		t.Fatalf("armHedge left timers = %d, want 1", fr.timers)
+	}
+	fr.rq = nil // the parent settles with no attempt open
+	ol.maybeFreeFanReq(fr)
+	if fr.pooled {
+		t.Fatal("record pooled while a hedge timer still holds it")
+	}
+	m.Engine().RunUntil(func() bool { return fr.timers == 0 })
+	if !fr.pooled {
+		t.Fatal("record not pooled after its last hedge timer fired")
+	}
+	if got := ol.newFanReq(rq); got != fr {
+		t.Fatal("next newFanReq did not reuse the released record")
+	}
+}
+
 // TestFanoutQuorumCancelsStragglers: with quorum:K aggregation the
 // stage advances after K completions, so the W-K undone slots' attempts
 // must drain as cancelled — saved work, visible in the accounting.
