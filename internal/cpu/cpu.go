@@ -59,10 +59,10 @@ type Config struct {
 
 // coreState is the runtime state of one hardware thread.
 //
-// Field order is deliberate: the turbo-budget activity scan
-// (activePhysOnSocket) reads cur, spinUntil and lastActive from every
-// core of a socket on every dispatch, so those sit together in the
-// struct's first cache line.
+// Field order is deliberate: cur, spinUntil and lastActive are what the
+// tick's passes test first on every unsettled core and what a
+// turbo-count rescan (activePhysOnSocket) reads across a whole socket, so
+// they sit together in the struct's first cache line.
 type coreState struct {
 	id  machine.CoreID
 	cur *proc.Task
@@ -109,6 +109,11 @@ type coreState struct {
 	icachePos int
 
 	usedInInterval bool
+
+	// turboCounted and turboPending hold a physical core's standing in
+	// its socket's turbo count (settle.go), on the core's representative:
+	// the lower-numbered of its hardware threads.
+	turboCounted, turboPending bool
 }
 
 // Machine is one simulated server executing one workload under one
@@ -151,16 +156,23 @@ type Machine struct {
 	// Per-tick scratch, allocated once.
 	sockActive []int
 	sockMaxF   []machine.FreqMHz
+	sockPow    []float64 // energyPass: power drawn this tick
 
 	// sibOf and sockOf cache each core's SMT sibling and socket
 	// (Topology.Core(c) copies the whole descriptor, too heavy for the
-	// dispatch path); physReps holds one representative hardware thread
-	// per physical core, per socket, so the turbo-budget activity scan
-	// visits each physical core once (its sibling only when the
-	// representative is idle).
+	// dispatch path); physReps holds each socket's physical-core
+	// representatives, so a turbo-count rescan visits each physical core
+	// once (its sibling only when the representative is idle).
 	sibOf    []machine.CoreID
 	sockOf   []int
 	physReps [][]machine.CoreID
+
+	// settled is the bitset of cores the tick skips and nSettled its
+	// population; turbo caches each socket's turbo-budget count. touch
+	// keeps both honest (settle.go).
+	settled  []uint64
+	nSettled int
+	turbo    []turboCache
 
 	// tickRun is the machine's tick runner; posting &m.tickRun re-arms
 	// the tick without allocating anything per period.
@@ -246,29 +258,36 @@ func New(cfg Config) *Machine {
 		// once and never reallocated.
 		m.cores[i].comp = completionRunner{m: m, c: machine.CoreID(i)}
 	}
-	physOf := make([]int, len(m.cores))
 	m.sibOf = make([]machine.CoreID, len(m.cores))
 	m.sockOf = make([]int, len(m.cores))
 	for i := range m.cores {
 		c := m.topo.Core(machine.CoreID(i))
-		physOf[i] = c.Physical
 		m.sibOf[i] = c.Sibling
 		m.sockOf[i] = c.Socket
 	}
 	m.physReps = make([][]machine.CoreID, m.topo.NumSockets())
-	seen := make([]bool, m.topo.NumPhysical())
+	m.turbo = make([]turboCache, m.topo.NumSockets())
+	pp := m.topo.PhysPerSocket()
+	pending := make([]machine.CoreID, m.topo.NumPhysical())
 	for s := 0; s < m.topo.NumSockets(); s++ {
-		m.physReps[s] = make([]machine.CoreID, 0, m.topo.PhysPerSocket())
+		m.physReps[s] = make([]machine.CoreID, 0, pp)
+		// A socket's pending list holds each of its physical cores at
+		// most once, so it never outgrows its share.
+		m.turbo[s].pending = pending[s*pp : s*pp : (s+1)*pp]
 		for _, c := range m.topo.SocketCores(s) {
-			if p := physOf[c]; !seen[p] {
-				seen[p] = true
+			if m.physRep(c) == c {
 				m.physReps[s] = append(m.physReps[s], c)
 			}
 		}
 	}
+	m.settled = make([]uint64, (n+63)/64)
+	if r := n % 64; r != 0 {
+		m.settled[len(m.settled)-1] = ^uint64(0) << r // padding, never visited
+	}
 	m.tickRun = tickRunner{m: m}
 	m.sockActive = make([]int, m.topo.NumSockets())
 	m.sockMaxF = make([]machine.FreqMHz, m.topo.NumSockets())
+	m.sockPow = make([]float64, m.topo.NumSockets())
 	m.sockLoads = make([]float64, m.topo.NumSockets())
 	m.sockRunning = make([]int, m.topo.NumSockets())
 	m.res = &metrics.Result{

@@ -88,6 +88,7 @@ func (m *Machine) dispatch(t *proc.Task, target machine.CoreID) {
 	if cs.claimed {
 		m.res.Counters.Collisions++
 	}
+	m.touch(target)
 	cs.claimed = true
 	delay := placementLatency
 	// A core in a deep C-state pays its exit latency before the task
@@ -110,6 +111,7 @@ func (m *Machine) dispatch(t *proc.Task, target machine.CoreID) {
 func (m *Machine) enqueue(t *proc.Task, target machine.CoreID) {
 	now := m.eng.Now()
 	cs := &m.cores[target]
+	m.touch(target)
 	cs.claimed = false
 	// A placement can race a hotplug fault: the target went offline while
 	// this enqueue was in flight. Redirect to the nearest online core —
@@ -157,6 +159,7 @@ func (m *Machine) scheduleIn(c machine.CoreID) {
 		}
 	}
 	t := cs.queue[best]
+	m.touch(c)
 	cs.queue = append(cs.queue[:best], cs.queue[best+1:]...)
 	m.queuedTasks--
 
@@ -224,6 +227,7 @@ func (m *Machine) scheduleIn(c machine.CoreID) {
 	if sib != c {
 		ss := &m.cores[sib]
 		if ss.cur == nil && ss.spinUntil > now {
+			m.touch(sib)
 			ss.spinUntil = now
 			ss.util.SetLevel(now, 0)
 			ss.hwUtil.SetLevel(now, 0)
@@ -278,11 +282,17 @@ func (m *Machine) accountProgress(c machine.CoreID) {
 }
 
 // scheduleCompletion (re)arms the completion event for c's current task
-// at the core's present frequency.
+// at the core's present frequency. A barrier spinner's completion would
+// never fire — its spinWaitCycles outlast any run, and the release
+// zeroes them — so a spinner gets none, and any armed one is cancelled.
 func (m *Machine) scheduleCompletion(c machine.CoreID) {
 	cs := &m.cores[c]
 	t := cs.cur
 	if t == nil {
+		return
+	}
+	if t.YieldingSpin {
+		m.eng.Cancel(&cs.completion)
 		return
 	}
 	d := proc.TimeFor(t.Remaining, m.effMHz(c))
@@ -405,6 +415,7 @@ func (m *Machine) taskLeaves(t *proc.Task, c machine.CoreID, st proc.State) {
 		m.accountProgress(sib) // at the contended rate, before c frees up
 	}
 	m.eng.Cancel(&cs.completion)
+	m.touch(c)
 	cs.cur = nil
 	t.State = st
 	t.Cur = proc.NoCore
@@ -429,6 +440,7 @@ func (m *Machine) exit(t *proc.Task, c machine.CoreID) {
 		m.accountProgress(sib) // at the contended rate, before c frees up
 	}
 	m.eng.Cancel(&cs.completion)
+	m.touch(c)
 	cs.cur = nil
 	t.State = proc.StateExited
 	t.Cur = proc.NoCore
@@ -522,6 +534,7 @@ func (m *Machine) pickNext(c machine.CoreID) {
 	if victim := m.findBusiestOnDie(c); victim >= 0 {
 		vs := &m.cores[victim]
 		if t, idx := m.coldestWaiter(vs); t != nil {
+			m.touch(victim)
 			vs.queue = append(vs.queue[:idx], vs.queue[idx+1:]...)
 			m.queuedTasks--
 			m.curRunnable--
@@ -555,6 +568,7 @@ func (m *Machine) pickNext(c machine.CoreID) {
 func (m *Machine) startSpin(c machine.CoreID, d sim.Duration, level float64) {
 	now := m.eng.Now()
 	cs := &m.cores[c]
+	m.touch(c)
 	cs.spinUntil = now + d
 	cs.util.SetLevel(now, level)
 	cs.hwUtil.SetLevel(now, level)
@@ -671,6 +685,7 @@ func (m *Machine) yieldIfContended(c machine.CoreID) {
 	now := m.eng.Now()
 	m.accountProgress(c)
 	m.eng.Cancel(&cs.completion)
+	m.touch(c)
 	cs.cur = nil
 	t.State = proc.StateRunnable
 	t.LastWoken = -1

@@ -92,6 +92,7 @@ func (m *Machine) OfflineCore(c machine.CoreID) {
 	// power-gated core frees its socket's budget.
 	cs.lastActive = -sim.Second
 	m.fm.Park(c)
+	m.touch(c)
 	if m.bootCore == c {
 		m.bootCore = m.nearestOnline(c)
 	}
@@ -121,6 +122,7 @@ func (m *Machine) OnlineCore(c machine.CoreID) {
 	cs.offline = false
 	cs.idleSince = now
 	m.fm.Park(c)
+	m.touch(c)
 	m.policy.CoreOnline(m, c)
 	if h := m.obs; h.Enabled() {
 		h.Emit(obs.Fault{T: now, Action: "online", Core: int(c), Socket: -1})
@@ -129,14 +131,16 @@ func (m *Machine) OnlineCore(c machine.CoreID) {
 
 // ThrottleSocket caps socket s's frequency (cap <= 0 releases the
 // throttle). Progress on the socket is booked at the old frequencies
-// before the clamp, then completions are re-armed at the new ones. Part
-// of the fault.Injector surface.
+// before the clamp, then completions are re-armed at the new ones. The
+// cap moves every idle core's frequency floor, so the whole socket
+// leaves the settled set. Part of the fault.Injector surface.
 func (m *Machine) ThrottleSocket(s int, cap machine.FreqMHz) {
 	for _, c := range m.topo.SocketCores(s) {
 		m.accountProgress(c)
 	}
 	m.fm.SetSocketCap(s, cap)
 	for _, c := range m.topo.SocketCores(s) {
+		m.touch(c)
 		if m.cores[c].cur != nil {
 			m.scheduleCompletion(c)
 		}
@@ -165,8 +169,9 @@ func (m *Machine) SetTickJitter(amp sim.Duration) {
 }
 
 // InjectLoad spawns n independent compute tasks of `work` each (at the
-// nominal frequency) from the boot core — a load spike. Part of the
-// fault.Injector surface.
+// nominal frequency) from the boot core — a load spike. Each placement
+// claims its target through dispatch, whose touch takes that core out
+// of the settled set. Part of the fault.Injector surface.
 func (m *Machine) InjectLoad(n int, work sim.Duration) {
 	cycles := proc.Cycles(work, m.spec.Nominal)
 	for i := 0; i < n; i++ {

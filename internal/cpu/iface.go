@@ -128,6 +128,7 @@ func (m *Machine) smoveIfStillQueued(t *proc.Task, to machine.CoreID) {
 	cs := &m.cores[from]
 	for i, q := range cs.queue {
 		if q == t {
+			m.touch(from)
 			cs.queue = append(cs.queue[:i], cs.queue[i+1:]...)
 			m.queuedTasks--
 			m.curRunnable--

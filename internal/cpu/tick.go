@@ -7,7 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// tick is the periodic scheduler + hardware update (250 Hz).
+// tick is the periodic scheduler + hardware update (250 Hz). Its
+// per-core passes visit only unsettled cores, in ascending order, so
+// float sums keep their order (settle.go); balancePass and gaugePass
+// still visit every core.
 func (m *Machine) tick() {
 	now := m.eng.Now()
 	m.tickIndex++
@@ -38,7 +41,7 @@ const timeSlice = 6 * sim.Millisecond
 // preemptPass rotates cores whose current task exhausted its time slice
 // while others wait, CFS-style (lowest vruntime next).
 func (m *Machine) preemptPass(now sim.Time) {
-	for i := range m.cores {
+	for i := m.nextUnsettled(0); i < len(m.cores); i = m.nextUnsettled(i + 1) {
 		cs := &m.cores[i]
 		if cs.cur == nil || len(cs.queue) == 0 {
 			continue
@@ -50,6 +53,7 @@ func (m *Machine) preemptPass(now sim.Time) {
 		m.accountProgress(cs.id)
 		m.recordSlice(t, cs.id, cs.curStart, now)
 		m.eng.Cancel(&cs.completion)
+		m.touch(cs.id)
 		cs.cur = nil
 		t.State = proc.StateRunnable
 		t.LastWoken = -1 // requeue, not a wakeup
@@ -69,48 +73,26 @@ func (m *Machine) preemptPass(now sim.Time) {
 // tasks run at any instant.
 const activeWindow = 20 * sim.Millisecond
 
-// activePhysOnSocket counts physical cores on socket s that were active
-// within the hardware's lookback window — the basis of the turbo budget.
-func (m *Machine) activePhysOnSocket(s int, now sim.Time) int {
-	horizon := now - activeWindow
-	count := 0
-	for _, c := range m.physReps[s] {
-		cs := &m.cores[c]
-		if cs.cur != nil || cs.spinUntil > now || cs.lastActive >= horizon {
-			count++
-			continue
-		}
-		if sib := m.sibOf[c]; sib != c {
-			ss := &m.cores[sib]
-			if ss.cur != nil || ss.spinUntil > now || ss.lastActive >= horizon {
-				count++
-			}
-		}
-	}
-	return count
-}
-
 // freqAndAccountingPass books progress at the old frequencies, lets the
 // hardware pick new ones, and re-arms completion events.
 func (m *Machine) freqAndAccountingPass(now sim.Time) {
-	// Refresh activity stamps, then count recently active physical cores
-	// per socket for the turbo budget.
-	for i := range m.cores {
-		cs := &m.cores[i]
-		if cs.cur != nil || cs.spinUntil > now {
-			cs.lastActive = now
-		}
-	}
+	// Count recently active physical cores per socket for the turbo
+	// budget. The activity stamps refreshed below cannot change the
+	// count: only running or spinning cores get one, and those count
+	// anyway.
 	for s := range m.sockActive {
 		m.sockActive[s] = m.activePhysOnSocket(s, now)
 	}
 
-	for i := range m.cores {
+	for i := m.nextUnsettled(0); i < len(m.cores); i = m.nextUnsettled(i + 1) {
 		cs := &m.cores[i]
 		if cs.offline {
 			continue // parked by the hotplug path; nothing to update
 		}
 		active := cs.cur != nil || cs.spinUntil > now
+		if active {
+			cs.lastActive = now
+		}
 		if cs.spinUntil > now {
 			m.res.Counters.SpinTicksTotal++
 		}
@@ -138,13 +120,15 @@ func (m *Machine) freqAndAccountingPass(now sim.Time) {
 // energyPass integrates socket power over the tick. Socket power follows
 // the highest-frequency active core (§5.2): the shared voltage rail is
 // set by the fastest core, and each active core's dynamic power scales
-// with its frequency times that voltage squared.
+// with its frequency times that voltage squared. Settled cores draw
+// nothing beyond the socket's idle power, so only unsettled ones are
+// visited; each socket still sums its cores in ascending order.
 func (m *Machine) energyPass() {
 	for s := range m.sockMaxF {
 		m.sockMaxF[s] = 0
 	}
 	now := m.eng.Now()
-	for i := range m.cores {
+	for i := m.nextUnsettled(0); i < len(m.cores); i = m.nextUnsettled(i + 1) {
 		cs := &m.cores[i]
 		if cs.cur == nil && cs.spinUntil <= now {
 			continue
@@ -154,27 +138,32 @@ func (m *Machine) energyPass() {
 			m.sockMaxF[s] = f
 		}
 	}
+	for s, f := range m.sockMaxF {
+		m.sockPow[s] = m.spec.IdleSocketW
+		if f > 0 {
+			m.sockPow[s] += float64(m.spec.UncoreFreqW * f.GHz())
+		}
+	}
 	// A spinning idle loop retires almost no µops; its dynamic power is a
 	// small fraction of real work at the same frequency.
 	const spinDynFactor = 0.15
-	tickSec := sim.Tick.Seconds()
-	for s := 0; s < m.topo.NumSockets(); s++ {
-		p := m.spec.IdleSocketW
-		if m.sockMaxF[s] > 0 {
-			vRel := m.sockMaxF[s].GHz() / m.spec.Nominal.GHz()
-			v2 := vRel * vRel
-			p += m.spec.UncoreFreqW * m.sockMaxF[s].GHz()
-			for _, c := range m.topo.SocketCores(s) {
-				cs := &m.cores[c]
-				switch {
-				case cs.cur != nil:
-					p += m.spec.ActiveBaseW + m.spec.DynPerGHzW*m.fm.Cur(c).GHz()*v2
-				case cs.spinUntil > now:
-					p += m.spec.ActiveBaseW + spinDynFactor*m.spec.DynPerGHzW*m.fm.Cur(c).GHz()*v2
-				}
-			}
+	for i := m.nextUnsettled(0); i < len(m.cores); i = m.nextUnsettled(i + 1) {
+		cs := &m.cores[i]
+		if cs.cur == nil && cs.spinUntil <= now {
+			continue
 		}
-		m.res.EnergyJ += p * tickSec
+		s := m.sockOf[cs.id]
+		vRel := m.sockMaxF[s].GHz() / m.spec.Nominal.GHz()
+		v2 := vRel * vRel
+		if cs.cur != nil {
+			m.sockPow[s] += m.spec.ActiveBaseW + float64(m.spec.DynPerGHzW*m.fm.Cur(cs.id).GHz()*v2)
+		} else {
+			m.sockPow[s] += m.spec.ActiveBaseW + float64(spinDynFactor*m.spec.DynPerGHzW*m.fm.Cur(cs.id).GHz()*v2)
+		}
+	}
+	tickSec := sim.Tick.Seconds()
+	for _, p := range m.sockPow {
+		m.res.EnergyJ += float64(p * tickSec)
 	}
 }
 
@@ -251,12 +240,13 @@ func (m *Machine) gaugePass(now sim.Time) {
 // underloadPass closes the 4 ms underload interval of §5.2: cores used
 // minus the maximum simultaneous runnable count, when positive, measures
 // placements onto long-idle cores instead of reusable warm ones. It also
-// tracks overload (tasks queued while other cores sit idle).
+// tracks overload (tasks queued while other cores sit idle). Settled
+// cores are idle, unused and queue nothing, so they enter as a count.
 func (m *Machine) underloadPass(now sim.Time) {
 	used := 0
 	waiting := 0
-	idle := 0
-	for i := range m.cores {
+	idle := m.nSettled
+	for i := m.nextUnsettled(0); i < len(m.cores); i = m.nextUnsettled(i + 1) {
 		cs := &m.cores[i]
 		if cs.usedInInterval {
 			used++
@@ -329,6 +319,7 @@ func (m *Machine) balancePass() {
 		if t == nil {
 			continue
 		}
+		m.touch(victim)
 		vs.queue = append(vs.queue[:idx], vs.queue[idx+1:]...)
 		m.queuedTasks--
 		m.curRunnable-- // enqueue below re-adds
@@ -366,14 +357,19 @@ func (m *Machine) coldestWaiter(cs *coreState) (*proc.Task, int) {
 }
 
 // refreshSocketLoads recomputes the per-socket load cache policies read
-// through SocketLoads.
+// through SocketLoads. A settled core adds exactly 0. As the tick's last
+// per-core pass, it also admits the cores that now meet the settled
+// predicate to the settled set.
 func (m *Machine) refreshSocketLoads(now sim.Time) {
 	for s := range m.sockLoads {
 		m.sockLoads[s] = 0
 	}
-	for i := range m.cores {
+	for i := m.nextUnsettled(0); i < len(m.cores); i = m.nextUnsettled(i + 1) {
 		cs := &m.cores[i]
 		m.sockLoads[m.sockOf[cs.id]] += cs.util.Value(now) + float64(len(cs.queue))
+		if m.settles(cs.id, now) {
+			m.settle(cs.id)
+		}
 	}
 }
 

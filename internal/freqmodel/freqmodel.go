@@ -174,7 +174,7 @@ func (m *Model) Boost(c machine.CoreID, req governor.Request, activePhys int, hw
 	cs := &m.cores[c]
 	target := m.clampCap(c, m.activeTarget(req, activePhys, hwUtil))
 	if target > cs.cur {
-		cs.cur += (target - cs.cur) * m.up * 0.8
+		cs.cur += float64((target - cs.cur) * m.up * 0.8)
 	}
 	m.emitGrant(c, target, activePhys, "boost")
 	return machine.FreqMHz(cs.cur + 0.5)
@@ -183,7 +183,7 @@ func (m *Model) Boost(c machine.CoreID, req governor.Request, activePhys int, hw
 // hwUtilBias maps the hardware's short-horizon utilisation estimate to a
 // fraction of the turbo budget under an energy-aware preference.
 func hwUtilBias(u float64) float64 {
-	v := 0.60 + 0.50*u
+	v := 0.60 + float64(0.50*u)
 	if v > 1 {
 		v = 1
 	}
@@ -259,18 +259,37 @@ func (m *Model) TickUpdate(c machine.CoreID, active bool, req governor.Request, 
 		target = m.clampCap(c, m.activeTarget(req, activePhys, hwUtil))
 		m.emitGrant(c, target, activePhys, "tick")
 	} else {
-		// Idle: clock decays toward the governor floor (performance
-		// keeps idle cores parked at nominal; schedutil lets them fall
-		// to the machine minimum). A thermal throttle caps the floor too.
-		target = m.clampCap(c, float64(req.Floor))
+		target = m.idleTarget(c, req)
 	}
-
-	if target > cs.cur {
-		cs.cur += (target - cs.cur) * m.up
-	} else {
-		cs.cur += (target - cs.cur) * m.down
-	}
+	cs.cur = m.step(cs.cur, target)
 	return machine.FreqMHz(cs.cur + 0.5)
+}
+
+// idleTarget is the frequency an idle, non-spinning core decays toward:
+// the governor floor (performance keeps idle cores parked at nominal;
+// schedutil lets them fall to the machine minimum), capped by any
+// thermal throttle.
+func (m *Model) idleTarget(c machine.CoreID, req governor.Request) float64 {
+	return m.clampCap(c, float64(req.Floor))
+}
+
+// step moves a clock one tick toward target at the ramp rates. The
+// conversions round each product, so no architecture fuses it into the
+// add and IdleFixed agrees with TickUpdate everywhere.
+func (m *Model) step(cur, target float64) float64 {
+	if target > cur {
+		return cur + float64((target-cur)*m.up)
+	}
+	return cur + float64((target-cur)*m.down)
+}
+
+// IdleFixed reports whether an idle TickUpdate with req would leave core
+// c's clock exactly where it is. A decayed clock stops one ulp above its
+// floor, not on it — the last step moves it by 0.35 ulp, which rounds
+// away — so callers test this fixed point, never cur == floor.
+func (m *Model) IdleFixed(c machine.CoreID, req governor.Request) bool {
+	cur := m.cores[c].cur
+	return m.step(cur, m.idleTarget(c, req)) == cur
 }
 
 // Spec returns the machine spec the model was built for.

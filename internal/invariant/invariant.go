@@ -26,6 +26,13 @@
 //     masks are disjoint and confined to online cores.
 //   - freq_above_cap: no core's frequency exceeds its turbo-ladder cap
 //     clamped by any active thermal throttle.
+//   - queued_count: the runtime's cached waiter count matches its
+//     queues (QueueAccounting).
+//   - settled_set: every core in the runtime's settled set meets the
+//     settled predicate, and the cached set size matches the set
+//     (IdleAccounting).
+//   - turbo_count: each socket's cached turbo-budget count matches a
+//     full scan (IdleAccounting).
 //
 // Beyond the structural sweep, workloads can register domain probes
 // (RegisterProbe) checked at the same cadence — e.g. the fan-out
@@ -72,6 +79,25 @@ type State interface {
 // balancing. *cpu.Machine implements it.
 type QueueAccounting interface {
 	QueuedTasks() int
+}
+
+// IdleAccounting is the optional introspection of the runtime's idle-core
+// bookkeeping; when the bound state implements it, the checker re-derives
+// both caches by brute force. The tick skips settled cores and the
+// dispatch path reads the turbo count from its cache, so a write that
+// missed the runtime's hook would silently skew frequency, energy and
+// underload. *cpu.Machine implements it.
+type IdleAccounting interface {
+	// Settled reports whether core c is in the settled set, and whether
+	// the settled predicate, evaluated afresh, holds for it now. A core
+	// in the set must meet the predicate; a core meeting it need not be
+	// in the set yet (cores join at the tick).
+	Settled(c machine.CoreID) (inSet, holds bool)
+	// SettledCount returns the cached size of the settled set.
+	SettledCount() int
+	// TurboCount returns the turbo-budget count the cache would serve for
+	// socket s now, and the count a full scan gives.
+	TurboCount(s int) (served, scanned int)
 }
 
 // NestView is the optional mask introspection a nest-style policy
@@ -238,6 +264,9 @@ func (c *Checker) Check() {
 	if qa, ok := c.st.(QueueAccounting); ok && qa.QueuedTasks() != totalQueued {
 		c.report("queued_count", "cached queued-task count %d but queues hold %d", qa.QueuedTasks(), totalQueued)
 	}
+	if ia, ok := c.st.(IdleAccounting); ok {
+		c.checkIdle(ia, topo)
+	}
 
 	for _, t := range c.st.LiveTasks() {
 		occ := c.seen[t.ID]
@@ -263,6 +292,28 @@ func (c *Checker) Check() {
 	for _, p := range c.probes {
 		if detail := p.fn(); detail != "" {
 			c.report(p.rule, "%s", detail)
+		}
+	}
+}
+
+// checkIdle sweeps the settled_set and turbo_count rules.
+func (c *Checker) checkIdle(ia IdleAccounting, topo *machine.Topology) {
+	inSet := 0
+	for i := 0; i < topo.NumCores(); i++ {
+		in, holds := ia.Settled(machine.CoreID(i))
+		if in {
+			inSet++
+			if !holds {
+				c.report("settled_set", "core %d is in the settled set but does not meet the predicate", i)
+			}
+		}
+	}
+	if n := ia.SettledCount(); n != inSet {
+		c.report("settled_set", "cached settled count %d but the set holds %d cores", n, inSet)
+	}
+	for s := 0; s < topo.NumSockets(); s++ {
+		if served, scanned := ia.TurboCount(s); served != scanned {
+			c.report("turbo_count", "socket %d: cached turbo count %d but a scan finds %d", s, served, scanned)
 		}
 	}
 }

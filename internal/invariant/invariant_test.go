@@ -246,6 +246,59 @@ func TestEachRuleTrips(t *testing.T) {
 	})
 }
 
+// fakeIdle adds controllable idle-core bookkeeping to a fake state.
+type fakeIdle struct {
+	*fakeState
+	inSet, holds map[machine.CoreID]bool
+	count        int
+	served       int // socket 0's cached turbo count; the scan finds 1
+}
+
+func newFakeIdle() *fakeIdle {
+	return &fakeIdle{
+		fakeState: newFake(),
+		inSet:     map[machine.CoreID]bool{2: true},
+		holds:     map[machine.CoreID]bool{2: true, 3: true},
+		count:     1,
+		served:    1,
+	}
+}
+
+func (f *fakeIdle) Settled(c machine.CoreID) (bool, bool) { return f.inSet[c], f.holds[c] }
+func (f *fakeIdle) SettledCount() int                     { return f.count }
+func (f *fakeIdle) TurboCount(int) (int, int)             { return f.served, 1 }
+
+func TestIdleAccountingRules(t *testing.T) {
+	t.Run("clean", func(t *testing.T) {
+		// Core 3 meets the predicate without being in the set yet: cores
+		// join at the tick, so that is no violation.
+		c := New()
+		c.Bind(newFakeIdle(), nil)
+		wantRules(t, sweep(c))
+	})
+	t.Run("settled_set_predicate", func(t *testing.T) {
+		f := newFakeIdle()
+		f.holds[2] = false
+		c := New()
+		c.Bind(f, nil)
+		wantRules(t, sweep(c), "settled_set")
+	})
+	t.Run("settled_set_count", func(t *testing.T) {
+		f := newFakeIdle()
+		f.count = 2
+		c := New()
+		c.Bind(f, nil)
+		wantRules(t, sweep(c), "settled_set")
+	})
+	t.Run("turbo_count", func(t *testing.T) {
+		f := newFakeIdle()
+		f.served = 2
+		c := New()
+		c.Bind(f, nil)
+		wantRules(t, sweep(c), "turbo_count")
+	})
+}
+
 func TestFreqRoundingHeadroom(t *testing.T) {
 	f := newFake()
 	f.cap = 2000

@@ -76,8 +76,9 @@ func (s *Signal) decayTo(t sim.Time) {
 		f = math.Exp(-math.Ln2 / float64(h) * float64(dt))
 		s.memoDt, s.memoF = dt, f
 	}
-	// Converges toward the current activity level.
-	s.value = s.level + (s.value-s.level)*f
+	// Converges toward the current activity level. The conversion rounds
+	// the product, so no architecture fuses it into the add.
+	s.value = s.level + float64((s.value-s.level)*f)
 	s.last = t
 }
 
@@ -114,6 +115,14 @@ func (s *Signal) Value(t sim.Time) float64 {
 
 // Level returns the instantaneous activity level last set.
 func (s *Signal) Level() float64 { return s.level }
+
+// Zero reports whether the signal is idle and fully decayed: both value
+// and level are exactly 0, so Value returns 0 at every later time until
+// the next SetLevel or Reset. A signal that ever rose above 0 under the
+// default half-life never gets here by decay alone: one tick multiplies
+// by 2^(-1/8), which rounds a value of a few denormal ulps back to
+// itself.
+func (s *Signal) Zero() bool { return s.value == 0 && s.level == 0 }
 
 // Reset forces the signal to v at time t (used when migrating load).
 func (s *Signal) Reset(t sim.Time, v float64) {
