@@ -48,11 +48,11 @@ func TestChromeTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	phases := map[string]int{"X": 40331, "i": 79531, "C": 490, "M": 129}
+	phases := map[string]int{"X": 39438, "i": 77595, "C": 430, "M": 129}
 	for _, g := range []chromeGolden{
-		{"t.json", "9d8787069756ba3b095ac3e555037b0ba130b7f987e3865af7b97f6d22a10e6a", phases},
-		{"t.run2.json", "249ff4df9a81937eb3729037ea1e44b0d1aadc3a2f781aa6266c8084b618f10b", phases},
-		{"stdout.txt", "298d725dbb7578256c35ff801df54c605409f0d1efe0641d7ac579f51abf59b5", nil},
+		{"t.json", "ecaf62e9c8cba6847319091d56345679460a9b95c92d42b0bd83f35e68b51d4b", phases},
+		{"t.run2.json", "b439c380e8ca4670730e78aac107bc849178d4a9d5ccb01d75883954c1c683db", phases},
+		{"stdout.txt", "c3d527309329b6853ae8d8ce3451463b50af8bfa83bc888bb28f78872929fa6f", nil},
 	} {
 		b, err := os.ReadFile(g.file)
 		if err != nil {

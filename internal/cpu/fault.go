@@ -86,8 +86,12 @@ func (m *Machine) OfflineCore(c machine.CoreID) {
 	cs.offline = true
 	cs.claimed = false // in-flight placements redirect at enqueue
 	cs.spinUntil = now
+	// A powered-down core carries no load: both signals drop to 0 and
+	// stay there, whatever the detached task's level was.
 	cs.util.Reset(now, 0)
+	cs.util.SetLevel(now, 0)
 	cs.hwUtil.Reset(now, 0)
+	cs.hwUtil.SetLevel(now, 0)
 	// Drop out of the turbo budget's activity window immediately: a
 	// power-gated core frees its socket's budget.
 	cs.lastActive = -sim.Second
@@ -192,6 +196,15 @@ func (m *Machine) Running(c machine.CoreID) *proc.Task { return m.cores[c].cur }
 
 // Queued implements invariant.State.
 func (m *Machine) Queued(c machine.CoreID) []*proc.Task { return m.cores[c].queue }
+
+// CoreLoad implements invariant.LoadAccounting: c's two PELT levels and
+// the load it adds to its socket's SocketLoads sum now. It reads a copy
+// of the utilisation signal, so the run's signal is not advanced.
+func (m *Machine) CoreLoad(c machine.CoreID) (utilLevel, hwLevel, load float64) {
+	cs := &m.cores[c]
+	u := cs.util
+	return cs.util.Level(), cs.hwUtil.Level(), u.Value(m.eng.Now()) + float64(len(cs.queue))
+}
 
 // QueuedTasks implements invariant.QueueAccounting: the cached count of
 // tasks sitting in run queues, which the balance scans early-out on.

@@ -91,6 +91,42 @@ func TestHotplugUnderLoadCFS(t *testing.T) {
 	}
 }
 
+// TestOfflineCoreCarriesNoLoad offlines a core while it runs a long
+// task: from then on the core's signals sit at level 0 and it adds
+// nothing to its socket's load, though the task it ran was busy.
+func TestOfflineCoreCarriesNoLoad(t *testing.T) {
+	spec := machine.IntelXeon5218()
+	check := invariant.New()
+	m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: cfs.Default(), Seed: 1, Check: check})
+	busy := m.Spawn("busy", proc.Once(proc.Compute{Cycles: proc.Cycles(600*sim.Millisecond, spec.Nominal)}))
+	victim := machine.CoreID(-1)
+	m.Engine().At(10*sim.Millisecond, func() {
+		victim = busy.Cur
+		m.OfflineCore(victim)
+	})
+	checked := false
+	m.Engine().At(200*sim.Millisecond, func() {
+		checked = true
+		cs := &m.cores[victim]
+		if u, hw := cs.util.Level(), cs.hwUtil.Level(); u != 0 || hw != 0 {
+			t.Errorf("offline core %d has levels %g/%g, want 0/0", victim, u, hw)
+		}
+		if l := m.LoadAvg(victim); l != 0 {
+			t.Errorf("offline core %d has LoadAvg %g, want 0", victim, l)
+		}
+	})
+	m.Run(sim.Second)
+	if victim < 0 || !checked {
+		t.Fatal("the offline or the probe never ran")
+	}
+	if busy.State != proc.StateExited {
+		t.Fatalf("evacuated task ended in state %v", busy.State)
+	}
+	if n := check.Total(); n != 0 {
+		t.Fatalf("%d invariant violations, first: %v", n, check.Violations()[0])
+	}
+}
+
 func TestOfflineLastCoreRefused(t *testing.T) {
 	spec := &machine.Spec{
 		Topo: machine.New("tiny", 1, 1, 2), Arch: "test",
