@@ -49,16 +49,30 @@ type Policy struct {
 	// between scans: a slot is "seen" only when its stamp equals physGen.
 	physStamp []uint64
 	physGen   uint64
+	// usableBuf and pairBuf are the wakeup search's scratch masks.
+	usableBuf, pairBuf sched.Mask
+	// topo is the topology the buffers are sized for.
+	topo *machine.Topology
+}
+
+// ensure sizes the scratch buffers for topo on first use, all from one
+// allocation. Fresh zero stamps never match physGen because every scan
+// increments it first.
+func (p *Policy) ensure(topo *machine.Topology) {
+	if p.topo == topo {
+		return
+	}
+	p.topo = topo
+	n, mw := topo.NumPhysical(), sched.MaskWords(len(topo.SocketCores(0)))
+	buf := make([]uint64, n+2*mw)
+	p.physStamp = buf[:n:n]
+	p.usableBuf = buf[n : n+mw : n+mw]
+	p.pairBuf = buf[n+mw:]
 }
 
 // markPhys records phys as visited by the current scan, reporting
-// whether it had already been visited. The buffer is sized lazily on
-// first use for the machine's physical core count; fresh zero stamps
-// never match physGen because every scan increments it first.
-func (p *Policy) markPhys(n, phys int) bool {
-	if len(p.physStamp) < n {
-		p.physStamp = make([]uint64, n)
-	}
+// whether it had already been visited.
+func (p *Policy) markPhys(phys int) bool {
 	if p.physStamp[phys] == p.physGen {
 		return true
 	}
@@ -85,6 +99,52 @@ func (p *Policy) idle(m sched.Machine, c machine.CoreID) bool {
 		return false
 	}
 	return true
+}
+
+// usable returns socket s's cores that idle accepts, as a Mask.
+func (p *Policy) usable(m sched.Machine, s int) sched.Mask {
+	idle := m.IdleMask(s)
+	if !p.cfg.RespectClaims {
+		return idle
+	}
+	claimed := m.ClaimedMask(s)
+	u := p.usableBuf
+	for w := range u {
+		u[w] = idle[w] &^ claimed[w]
+	}
+	return u
+}
+
+// idleCore is select_idle_core on socket s: it scans the socket in wrap
+// order from start, the target's position, for a physical core whose
+// hardware threads are both in u, skipping the target itself. It returns
+// the position of the first thread found and its offset from start, or
+// -1. With SMT the first pp positions hold one thread of each physical
+// core and the next pp their siblings, so pairs[j] marks physical core j
+// and the scan runs over the rest of the target's half, then the other
+// half.
+func (p *Policy) idleCore(topo *machine.Topology, s, start int, u sched.Mask) (pos, off int) {
+	n := len(topo.SocketCores(s))
+	if topo.SMT() == 1 {
+		if off = u.NextWrap(start, n, 1, n); off < 0 {
+			return -1, 0
+		}
+		return (start + off) % n, off
+	}
+	pp := n / 2
+	pairs := p.pairBuf[:sched.MaskWords(pp)]
+	for w := range pairs {
+		// Positions past n read as absent, so no bit past pp survives.
+		pairs[w] = u.Word(w<<6) & u.Word(pp+w<<6)
+	}
+	h0, half := start%pp, start/pp
+	if j := pairs.Next(h0+1, pp); j >= 0 {
+		return half*pp + j, j - h0
+	}
+	if j := pairs.Next(0, h0+1); j >= 0 {
+		return (1-half)*pp + j, pp - h0 + j
+	}
+	return -1, 0
 }
 
 // numaImbalance is the number of runnable tasks' worth of load a socket
@@ -138,9 +198,10 @@ func (p *Policy) SelectCoreFork(m sched.Machine, parent, child *proc.Task, paren
 	scan := topo.ScanFrom(bestSock, parentCore)
 	var bestA, bestB machine.CoreID = -1, -1
 	bestLoad := 0.0
+	p.ensure(topo)
 	p.physGen++
 	for _, c := range scan {
-		if p.markPhys(topo.NumPhysical(), topo.Core(c).Physical) {
+		if p.markPhys(topo.Core(c).Physical) {
 			continue
 		}
 		sib := topo.Sibling(c)
@@ -206,6 +267,7 @@ const scanLimit = 6
 // that produced the choice (for the observability layer).
 func (p *Policy) wakeupChoose(m sched.Machine, t *proc.Task, wakerCore machine.CoreID, sync bool, examined *int) (machine.CoreID, string, string) {
 	topo := m.Topo()
+	p.ensure(topo)
 
 	prev := t.Last
 	if prev == proc.NoCore {
@@ -238,46 +300,47 @@ func (p *Policy) wakeupChoose(m sched.Machine, t *proc.Task, wakerCore machine.C
 		return prev, "prev", ""
 	}
 
-	// select_idle_core: a physical core with both hardware threads idle.
-	scan := topo.ScanFrom(die, target)
-	for _, c := range scan {
-		*examined++
-		if c == target {
-			continue
-		}
-		if p.idle(m, c) && p.idle(m, topo.Sibling(c)) {
-			return c, "idle_core", ""
-		}
+	// select_idle_core: a physical core with both hardware threads idle,
+	// scanning the die in wrap order from the target. Every core the scan
+	// passes counts as examined, the target included.
+	n, start := len(topo.SocketCores(die)), topo.PosInSocket(target)
+	u := p.usable(m, die)
+	if pos, off := p.idleCore(topo, die, start, u); pos >= 0 {
+		*examined += off + 1
+		return topo.SocketCores(die)[pos], "idle_core", ""
 	}
+	*examined += n
 
 	// Bounded scan for any idle core on the die.
-	limit := scanLimit
-	for _, c := range scan {
-		if limit == 0 {
-			break
-		}
-		limit--
-		*examined++
-		if c != target && p.idle(m, c) {
-			return c, "scan", ""
-		}
+	limit := min(scanLimit, n)
+	if off := u.NextWrap(start, n, 1, limit); off >= 0 {
+		*examined += off + 1
+		return topo.SocketCores(die)[(start+off)%n], "scan", ""
 	}
+	*examined += limit
 
 	// Nest's work-conservation extension (§3.4): examine all of the
 	// dies — completing the target die beyond the bounded scan, then
-	// every other die.
+	// every other die. Each die is scanned from the target's position,
+	// or from its first core when the target lies elsewhere.
 	if p.cfg.WorkConservingWakeup {
 		for _, s := range topo.SocketOrder(target) {
-			for _, c := range topo.ScanFrom(s, target) {
-				*examined++
-				if c != target && p.idle(m, c) {
-					reason := ""
-					if s != die {
-						reason = "die_spill"
-					}
-					return c, "work_conserve", reason
-				}
+			cores := topo.SocketCores(s)
+			ns, from, st := len(cores), 0, 0
+			if s == die {
+				from, st = 1, start // the target heads its die's scan
+			} else {
+				u = p.usable(m, s)
 			}
+			if off := u.NextWrap(st, ns, from, ns); off >= 0 {
+				*examined += off + 1
+				reason := ""
+				if s != die {
+					reason = "die_spill"
+				}
+				return cores[(st+off)%ns], "work_conserve", reason
+			}
+			*examined += ns
 		}
 	}
 

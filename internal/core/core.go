@@ -61,12 +61,16 @@ type Policy struct {
 	init bool
 	h    *obs.Hub // cached from the machine in ensure; nil-safe
 
-	inPrimary []bool
-	lastUsed  []sim.Time
-	nPrimary  int
+	primary  coreSet
+	lastUsed []sim.Time
+	nPrimary int
 
-	inReserve []bool
-	nReserve  int
+	reserve  coreSet
+	nReserve int
+
+	// cand is the nest searches' scratch mask: one socket's nest members
+	// that can take a placement.
+	cand sched.Mask
 
 	// evicted marks cores pushed out of the nests entirely (compaction
 	// or exit demotion past a full reserve). An evicted core loses the
@@ -82,6 +86,35 @@ type Policy struct {
 	startCore machine.CoreID
 	haveStart bool
 }
+
+// coreSet is a set of cores kept as one sched.Mask per socket, indexed
+// by position in SocketCores, so a nest search can combine a socket's
+// members with the machine's idle mask in whole words. The sockets'
+// masks lie end to end in words, mw words each; bitOf maps a core to its
+// bit there.
+type coreSet struct {
+	words []uint64
+	bitOf []int
+	mw    int
+}
+
+func (cs coreSet) has(c machine.CoreID) bool {
+	i := cs.bitOf[c]
+	return cs.words[i>>6]&(1<<(i&63)) != 0
+}
+
+func (cs coreSet) add(c machine.CoreID) {
+	i := cs.bitOf[c]
+	cs.words[i>>6] |= 1 << (i & 63)
+}
+
+func (cs coreSet) remove(c machine.CoreID) {
+	i := cs.bitOf[c]
+	cs.words[i>>6] &^= 1 << (i & 63)
+}
+
+// socket returns socket s's members.
+func (cs coreSet) socket(s int) sched.Mask { return cs.words[s*cs.mw : (s+1)*cs.mw] }
 
 // taskData is Nest's per-task state.
 type taskData struct {
@@ -138,21 +171,30 @@ func (p *Policy) ReserveSize() int { return p.nReserve }
 
 // InPrimary reports whether c is in the primary nest.
 func (p *Policy) InPrimary(c machine.CoreID) bool {
-	return p.init && p.inPrimary[c]
+	return p.init && p.primary.has(c)
 }
 
 // InReserve reports whether c is in the reserve nest.
 func (p *Policy) InReserve(c machine.CoreID) bool {
-	return p.init && p.inReserve[c]
+	return p.init && p.reserve.has(c)
 }
 
 func (p *Policy) ensure(m sched.Machine, ref machine.CoreID) {
 	if !p.init {
-		n := m.Topo().NumCores()
-		p.inPrimary = make([]bool, n)
+		topo := m.Topo()
+		n := topo.NumCores()
 		p.lastUsed = make([]sim.Time, n)
-		p.inReserve = make([]bool, n)
 		p.evicted = make([]bool, n)
+		// One allocation holds both nests' masks and the scratch mask.
+		ns, mw := topo.NumSockets(), sched.MaskWords(len(topo.SocketCores(0)))
+		words := make([]uint64, (2*ns+1)*mw)
+		bitOf := make([]int, n)
+		for c := range bitOf {
+			bitOf[c] = topo.Socket(machine.CoreID(c))*mw<<6 + topo.PosInSocket(machine.CoreID(c))
+		}
+		p.primary = coreSet{words: words[: ns*mw : ns*mw], bitOf: bitOf, mw: mw}
+		p.reserve = coreSet{words: words[ns*mw : 2*ns*mw : 2*ns*mw], bitOf: bitOf, mw: mw}
+		p.cand = words[2*ns*mw:]
 		p.init = true
 	}
 	p.h = m.Obs()
@@ -164,15 +206,15 @@ func (p *Policy) ensure(m sched.Machine, ref machine.CoreID) {
 
 func (p *Policy) addPrimary(c machine.CoreID, now sim.Time, reason string) {
 	p.evicted[c] = false
-	if p.inPrimary[c] {
+	if p.primary.has(c) {
 		p.lastUsed[c] = now
 		return
 	}
-	if p.inReserve[c] {
-		p.inReserve[c] = false
+	if p.reserve.has(c) {
+		p.reserve.remove(c)
 		p.nReserve--
 	}
-	p.inPrimary[c] = true
+	p.primary.add(c)
 	p.lastUsed[c] = now
 	p.nPrimary++
 	if h := p.h; h.Enabled() {
@@ -186,14 +228,14 @@ func (p *Policy) addPrimary(c machine.CoreID, now sim.Time, reason string) {
 // demote moves a primary core to the reserve nest, or drops it entirely
 // when the reserve is full (§3.1).
 func (p *Policy) demote(c machine.CoreID, now sim.Time, reason string) {
-	if !p.inPrimary[c] {
+	if !p.primary.has(c) {
 		return
 	}
-	p.inPrimary[c] = false
+	p.primary.remove(c)
 	p.nPrimary--
 	to := "evicted"
-	if !p.cfg.DisableReserve && p.nReserve < p.cfg.RMax && !p.inReserve[c] {
-		p.inReserve[c] = true
+	if !p.cfg.DisableReserve && p.nReserve < p.cfg.RMax && !p.reserve.has(c) {
+		p.reserve.add(c)
 		p.nReserve++
 		to = "reserve"
 	} else {
@@ -208,11 +250,11 @@ func (p *Policy) demote(c machine.CoreID, now sim.Time, reason string) {
 }
 
 func (p *Policy) addReserve(c machine.CoreID) {
-	if p.inReserve[c] || p.inPrimary[c] || p.nReserve >= p.cfg.RMax {
+	if p.reserve.has(c) || p.primary.has(c) || p.nReserve >= p.cfg.RMax {
 		return
 	}
 	p.evicted[c] = false
-	p.inReserve[c] = true
+	p.reserve.add(c)
 	p.nReserve++
 	p.h.Count("nest.reserve_add", 1)
 }
@@ -229,24 +271,58 @@ func (p *Policy) usable(m sched.Machine, c machine.CoreID) bool {
 	return true
 }
 
+// scanStart is the position at which a wrap scan of socket s from core
+// from begins: from's own position when it lies on s, else 0, as in
+// Topology.ScanFrom.
+func scanStart(topo *machine.Topology, s int, from machine.CoreID) int {
+	if topo.Socket(from) == s {
+		return topo.PosInSocket(from)
+	}
+	return 0
+}
+
+// candidates returns socket s's members of a nest that can take a
+// placement: idle and, unless the claim check is off, unclaimed (the
+// usable test).
+func (p *Policy) candidates(m sched.Machine, s int, members sched.Mask) sched.Mask {
+	idle := m.IdleMask(s)
+	cand := p.cand
+	if p.cfg.DisableClaimCheck {
+		for w := range cand {
+			cand[w] = members[w] & idle[w]
+		}
+		return cand
+	}
+	claimed := m.ClaimedMask(s)
+	for w := range cand {
+		cand[w] = members[w] & idle[w] &^ claimed[w]
+	}
+	return cand
+}
+
 // searchPrimary scans the primary nest, same die as ref first, wrapping
 // in numerical order from ref (§3.1). Idle cores past their compaction
-// deadline are demoted instead of used.
+// deadline are demoted instead of used. Every primary core the scan
+// passes counts as examined, usable or not.
 func (p *Policy) searchPrimary(m sched.Machine, ref machine.CoreID, examined *int) (machine.CoreID, bool) {
 	topo := m.Topo()
 	now := m.Now()
 	for _, s := range topo.SocketOrder(ref) {
-		for _, c := range topo.ScanFrom(s, ref) {
-			if !p.inPrimary[c] {
-				continue
+		cores, start := topo.SocketCores(s), scanStart(topo, s, ref)
+		n, members := len(cores), p.primary.socket(s)
+		cand := p.candidates(m, s, members)
+		for from := 0; ; {
+			off := cand.NextWrap(start, n, from, n)
+			if off < 0 {
+				*examined += members.CountWrap(start, n, from, n)
+				break
 			}
-			*examined++
-			if !p.usable(m, c) {
-				continue
-			}
+			*examined += members.CountWrap(start, n, from, off+1)
+			c := cores[(start+off)%n]
 			if !p.cfg.DisableCompaction && now-p.lastUsed[c] > p.cfg.PRemove {
 				// Compaction: a task tried to use a stale core (§3.1).
 				p.demote(c, now, "idle_timeout")
+				from = off + 1
 				continue
 			}
 			p.lastUsed[c] = now
@@ -261,15 +337,13 @@ func (p *Policy) searchPrimary(m sched.Machine, ref machine.CoreID, examined *in
 func (p *Policy) searchReserve(m sched.Machine, ref machine.CoreID, examined *int) (machine.CoreID, bool) {
 	topo := m.Topo()
 	for _, s := range topo.SocketOrder(ref) {
-		for _, c := range topo.ScanFrom(s, p.startCore) {
-			if !p.inReserve[c] {
-				continue
-			}
-			*examined++
-			if p.usable(m, c) {
-				return c, true
-			}
+		cores, start := topo.SocketCores(s), scanStart(topo, s, p.startCore)
+		n, members := len(cores), p.reserve.socket(s)
+		if off := p.candidates(m, s, members).NextWrap(start, n, 0, n); off >= 0 {
+			*examined += members.CountWrap(start, n, 0, off+1)
+			return cores[(start+off)%n], true
 		}
+		*examined += members.Count(0, n)
 	}
 	return 0, false
 }
@@ -305,7 +379,7 @@ func (p *Policy) selectCore(m sched.Machine, t *proc.Task, ref machine.CoreID, f
 	if !p.cfg.DisableAttach && t.Attached() {
 		c := t.Last
 		examined++
-		if p.inPrimary[c] && p.usable(m, c) {
+		if p.primary.has(c) && p.usable(m, c) {
 			p.lastUsed[c] = now
 			p.emitPlacement(m, t, c, "attached", "", examined, fork)
 			return c
@@ -323,9 +397,9 @@ func (p *Policy) selectCore(m sched.Machine, t *proc.Task, ref machine.CoreID, f
 	if !p.cfg.DisableAttach && t.Last != proc.NoCore {
 		c := t.Last
 		examined++
-		if (p.inPrimary[c] || p.inReserve[c]) && p.usable(m, c) {
+		if (p.primary.has(c) || p.reserve.has(c)) && p.usable(m, c) {
 			reason := "primary"
-			if p.inPrimary[c] {
+			if p.primary.has(c) {
 				p.lastUsed[c] = now
 			} else {
 				reason = "reserve_promoted"
@@ -372,7 +446,7 @@ func (p *Policy) selectCore(m sched.Machine, t *proc.Task, ref machine.CoreID, f
 		// directly, letting it balloon — the degradation §5.2 reports.
 		reason = "direct"
 		p.addPrimary(c, now, "direct")
-	} else if !p.inPrimary[c] {
+	} else if !p.primary.has(c) {
 		p.addReserve(c)
 	}
 	p.emitPlacement(m, t, c, "fallback", reason, examined, fork)
@@ -420,7 +494,7 @@ func (p *Policy) SelectCoreWakeup(m sched.Machine, t *proc.Task, wakerCore machi
 // refreshes its usage stamp.
 func (p *Policy) ScheduledIn(m sched.Machine, t *proc.Task, c machine.CoreID) {
 	p.ensure(m, c)
-	if p.inPrimary[c] {
+	if p.primary.has(c) {
 		p.lastUsed[c] = m.Now()
 	}
 }
@@ -428,7 +502,7 @@ func (p *Policy) ScheduledIn(m sched.Machine, t *proc.Task, c machine.CoreID) {
 // Blocked implements sched.Policy: the block ends a usage period.
 func (p *Policy) Blocked(m sched.Machine, t *proc.Task, c machine.CoreID) {
 	p.ensure(m, c)
-	if p.inPrimary[c] {
+	if p.primary.has(c) {
 		p.lastUsed[c] = m.Now()
 	}
 }
@@ -437,7 +511,7 @@ func (p *Policy) Blocked(m sched.Machine, t *proc.Task, c machine.CoreID) {
 // no longer useful and is demoted immediately (§3.1).
 func (p *Policy) Exited(m sched.Machine, t *proc.Task, c machine.CoreID, coreIdle bool) {
 	p.ensure(m, c)
-	if coreIdle && p.inPrimary[c] {
+	if coreIdle && p.primary.has(c) {
 		p.demote(c, m.Now(), "exit")
 	}
 }
@@ -449,7 +523,7 @@ func (p *Policy) IdleSpin(m sched.Machine, c machine.CoreID) sim.Duration {
 		return 0
 	}
 	p.ensure(m, c)
-	if p.inPrimary[c] {
+	if p.primary.has(c) {
 		return p.cfg.SMax
 	}
 	return 0
@@ -464,8 +538,8 @@ func (p *Policy) CoreOffline(m sched.Machine, c machine.CoreID) {
 	p.ensure(m, c)
 	now := m.Now()
 	removed := false
-	if p.inPrimary[c] {
-		p.inPrimary[c] = false
+	if p.primary.has(c) {
+		p.primary.remove(c)
 		p.nPrimary--
 		removed = true
 		if h := p.h; h.Enabled() {
@@ -475,8 +549,8 @@ func (p *Policy) CoreOffline(m sched.Machine, c machine.CoreID) {
 			})
 		}
 	}
-	if p.inReserve[c] {
-		p.inReserve[c] = false
+	if p.reserve.has(c) {
+		p.reserve.remove(c)
 		p.nReserve--
 		removed = true
 	}

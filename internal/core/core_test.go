@@ -437,7 +437,7 @@ func TestNestSetInvariants(t *testing.T) {
 				if p.InReserve(cid) {
 					nr++
 				}
-				if p.evicted[cid] && (p.inPrimary[cid] || p.inReserve[cid]) {
+				if p.evicted[cid] && (p.primary.has(cid) || p.reserve.has(cid)) {
 					t.Logf("core %d evicted yet in a nest", i)
 					return false
 				}

@@ -114,6 +114,10 @@ type coreState struct {
 	// its socket's turbo count (settle.go), on the core's representative:
 	// the lower-numbered of its hardware threads.
 	turboCounted, turboPending bool
+
+	// runnable is what the core adds to its socket's SocketRunning
+	// count as of the last placement flush (settle.go).
+	runnable int
 }
 
 // Machine is one simulated server executing one workload under one
@@ -158,21 +162,34 @@ type Machine struct {
 	sockMaxF   []machine.FreqMHz
 	sockPow    []float64 // energyPass: power drawn this tick
 
-	// sibOf and sockOf cache each core's SMT sibling and socket
-	// (Topology.Core(c) copies the whole descriptor, too heavy for the
-	// dispatch path); physReps holds each socket's physical-core
-	// representatives, so a turbo-count rescan visits each physical core
-	// once (its sibling only when the representative is idle).
+	// sibOf, sockOf and posOf cache each core's SMT sibling, socket and
+	// position in its socket's core list (Topology.Core(c) copies the
+	// whole descriptor, too heavy for the dispatch path); physReps holds
+	// each socket's physical-core representatives, so a turbo-count
+	// rescan visits each physical core once (its sibling only when the
+	// representative is idle).
 	sibOf    []machine.CoreID
 	sockOf   []int
+	posOf    []int
 	physReps [][]machine.CoreID
 
-	// settled is the bitset of cores the tick skips and nSettled its
-	// population; turbo caches each socket's turbo-budget count. touch
-	// keeps both honest (settle.go).
-	settled  []uint64
-	nSettled int
-	turbo    []turboCache
+	// settled is the bitset of cores the tick skips; turbo caches each
+	// socket's turbo-budget count. touch keeps both honest (settle.go).
+	settled []uint64
+	turbo   []turboCache
+
+	// idleWords and claimWords hold each socket's IdleMask and
+	// ClaimedMask, maskWords words per socket; dirty is the bitset of
+	// cores touched since the last flush, whose bits and SocketRunning
+	// share the next placement query re-derives (settle.go).
+	idleWords  []uint64
+	claimWords []uint64
+	maskWords  int
+	dirty      []uint64
+
+	// decay is the run's shared PELT decay-factor memo: every core and
+	// task signal draws its factors from it.
+	decay pelt.Memo
 
 	// tickRun is the machine's tick runner; posting &m.tickRun re-arms
 	// the tick without allocating anything per period.
@@ -181,8 +198,9 @@ type Machine struct {
 	// recFree heads the pooled event-record free-list (events.go).
 	recFree *evRec //own:engine
 
-	// sockLoads / sockRunning are per-socket statistics cached at the
-	// last tick, the stale domain statistics CFS placement consults.
+	// sockLoads holds per-socket load sums cached at the last tick, the
+	// stale domain statistics CFS placement consults; sockRunning holds
+	// per-socket runnable counts, kept current by the placement flush.
 	sockLoads   []float64
 	sockRunning []int
 
@@ -253,17 +271,20 @@ func New(cfg Config) *Machine {
 	for i := range m.cores {
 		m.cores[i].id = machine.CoreID(i)
 		m.cores[i].lastActive = -sim.Second // long before the run starts
-		m.cores[i].hwUtil = pelt.WithHalfLife(2 * sim.Millisecond)
+		m.cores[i].util = m.decay.Signal(pelt.HalfLife)
+		m.cores[i].hwUtil = m.decay.Signal(2 * sim.Millisecond)
 		// The comp runner's pointer identity is stable: m.cores is sized
 		// once and never reallocated.
 		m.cores[i].comp = completionRunner{m: m, c: machine.CoreID(i)}
 	}
 	m.sibOf = make([]machine.CoreID, len(m.cores))
-	m.sockOf = make([]int, len(m.cores))
+	loc := make([]int, 2*n)
+	m.sockOf, m.posOf = loc[:n:n], loc[n:]
 	for i := range m.cores {
 		c := m.topo.Core(machine.CoreID(i))
 		m.sibOf[i] = c.Sibling
 		m.sockOf[i] = c.Socket
+		m.posOf[i] = m.topo.PosInSocket(c.ID)
 	}
 	m.physReps = make([][]machine.CoreID, m.topo.NumSockets())
 	m.turbo = make([]turboCache, m.topo.NumSockets())
@@ -280,9 +301,20 @@ func New(cfg Config) *Machine {
 			}
 		}
 	}
-	m.settled = make([]uint64, (n+63)/64)
+	// One allocation holds the settled and dirty sets and both
+	// placement masks.
+	ns, nsock := sched.MaskWords(n), m.topo.NumSockets()
+	m.maskWords = sched.MaskWords(len(m.topo.SocketCores(0)))
+	nm := nsock * m.maskWords
+	words := make([]uint64, 2*ns+2*nm)
+	m.settled, m.dirty = words[:ns:ns], words[ns:2*ns:2*ns]
 	if r := n % 64; r != 0 {
 		m.settled[len(m.settled)-1] = ^uint64(0) << r // padding, never visited
+	}
+	m.idleWords = words[2*ns : 2*ns+nm : 2*ns+nm]
+	m.claimWords = words[2*ns+nm:]
+	for i := range m.cores {
+		m.idleMask(m.sockOf[i]).Set(m.posOf[i]) // every core starts idle
 	}
 	m.tickRun = tickRunner{m: m}
 	m.sockActive = make([]int, m.topo.NumSockets())
@@ -372,6 +404,7 @@ func (m *Machine) newTask(name string, b proc.Behavior, parent *proc.Task) *proc
 		Prev2:    proc.NoCore,
 		Parent:   parent,
 		Created:  m.eng.Now(),
+		Util:     m.decay.Signal(pelt.HalfLife),
 	}
 	// A forked task inherits its parent's utilisation, as the kernel's
 	// post_init_entity_util_avg seeds new tasks from the runqueue: the

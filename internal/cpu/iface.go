@@ -7,6 +7,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/proc"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -77,24 +78,24 @@ func (m *Machine) Claimed(c machine.CoreID) bool { return m.cores[c].claimed }
 func (m *Machine) SocketLoads() []float64 { return m.sockLoads }
 
 // SocketRunning implements sched.Machine: per-socket runnable counts,
-// computed fresh — the kernel's find_idlest_group iterates runqueues at
-// fork time, so a fork storm sees its own earlier placements.
+// current at the call — the kernel's find_idlest_group iterates
+// runqueues at fork time, so a fork storm sees its own earlier
+// placements. touch and flushPlacement maintain them.
 func (m *Machine) SocketRunning() []int {
-	for s := range m.sockRunning {
-		m.sockRunning[s] = 0
-	}
-	for i := range m.cores {
-		cs := &m.cores[i]
-		n := len(cs.queue)
-		if cs.cur != nil {
-			n++
-		}
-		if cs.claimed {
-			n++ // in-flight placement counts as arriving load
-		}
-		m.sockRunning[m.sockOf[cs.id]] += n
-	}
+	m.flushPlacement()
 	return m.sockRunning
+}
+
+// IdleMask implements sched.Machine.
+func (m *Machine) IdleMask(s int) sched.Mask {
+	m.flushPlacement()
+	return m.idleMask(s)
+}
+
+// ClaimedMask implements sched.Machine.
+func (m *Machine) ClaimedMask(s int) sched.Mask {
+	m.flushPlacement()
+	return m.claimMask(s)
 }
 
 // perCoreSearch is charged per core examined during placement, on top of

@@ -1,8 +1,10 @@
 package cpu
 
-// This file holds the bookkeeping that lets the tick skip idle cores:
-// the settled set, the turbo-budget count cache, and the one hook
-// (touch) that keeps both honest.
+// This file holds the bookkeeping that lets the tick skip idle cores
+// and placement skip whole-socket scans: the settled set, the
+// turbo-budget count cache, the per-socket idle and claimed masks with
+// the SocketRunning counts, and the one hook (touch) that keeps all of
+// them honest.
 //
 // A settled core is online and idle, with an empty queue, no claim, no
 // spin and no use in the current underload interval; both of its PELT
@@ -18,6 +20,7 @@ import (
 	"math/bits"
 
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -35,21 +38,83 @@ type turboCache struct {
 
 // touch is the hook every write to a core's cur, queue, spinUntil or
 // claimed calls, as do hotplug, throttling and the lastActive reset of
-// OfflineCore. It takes the core out of the settled set and marks its
-// physical core for re-evaluation in the turbo count. The tick's
-// refresh of lastActive on a running or spinning core needs no touch:
-// that core is counted already, and a later lastActive only postpones
-// the instant it could drop out.
+// OfflineCore. It takes the core out of the settled set, marks its
+// physical core for re-evaluation in the turbo count, and marks the core
+// dirty for the next placement flush. The tick's refresh of lastActive on a
+// running or spinning core needs no touch: that core is counted
+// already, and a later lastActive only postpones the instant it could
+// drop out. A touch may come before or after its write, as long as no
+// placement query runs between the two.
 func (m *Machine) touch(c machine.CoreID) {
-	if w, b := c>>6, uint64(1)<<(c&63); m.settled[w]&b != 0 {
-		m.settled[w] &^= b
-		m.nSettled--
-	}
+	w, b := c>>6, uint64(1)<<(c&63)
+	m.settled[w] &^= b
+	m.dirty[w] |= b
 	if r := &m.cores[m.physRep(c)]; !r.turboPending {
 		r.turboPending = true
 		tc := &m.turbo[m.sockOf[c]]
 		tc.pending = append(tc.pending, r.id)
 	}
+}
+
+// idleMask and claimMask return socket s's stored masks, unflushed.
+func (m *Machine) idleMask(s int) sched.Mask {
+	return m.idleWords[s*m.maskWords : (s+1)*m.maskWords]
+}
+
+func (m *Machine) claimMask(s int) sched.Mask {
+	return m.claimWords[s*m.maskWords : (s+1)*m.maskWords]
+}
+
+// flushPlacement re-derives the idle and claimed bits and the
+// SocketRunning share of every core touched since the last flush. The
+// placement queries (IdleMask, ClaimedMask, SocketRunning) call it, so
+// a burst of writes between two placements costs one re-derivation per
+// core, and a query with nothing touched reads a few zero words.
+func (m *Machine) flushPlacement() {
+	for dw, x := range m.dirty {
+		if x == 0 {
+			continue
+		}
+		m.dirty[dw] = 0
+		for ; x != 0; x &= x - 1 {
+			m.flushCore(machine.CoreID(dw<<6 + bits.TrailingZeros64(x)))
+		}
+	}
+}
+
+// flushCore re-derives core c's idle and claimed bits and its
+// SocketRunning share.
+func (m *Machine) flushCore(c machine.CoreID) {
+	cs := &m.cores[c]
+	s, i := m.sockOf[c], m.posOf[c]
+	w, b := s*m.maskWords+i>>6, uint64(1)<<(i&63)
+	if m.IsIdle(c) {
+		m.idleWords[w] |= b
+	} else {
+		m.idleWords[w] &^= b
+	}
+	if cs.claimed {
+		m.claimWords[w] |= b
+	} else {
+		m.claimWords[w] &^= b
+	}
+	n := cs.runnableNow()
+	m.sockRunning[s] += n - cs.runnable
+	cs.runnable = n
+}
+
+// runnableNow is what the core adds to its socket's SocketRunning count:
+// its running and queued tasks, plus an in-flight placement, which
+// counts as arriving load.
+func (cs *coreState) runnableNow() int {
+	n := len(cs.queue)
+	if cs.cur != nil {
+		n++
+	}
+	if cs.claimed {
+		n++
+	}
+	return n
 }
 
 // physRep returns the representative of c's physical core: the
@@ -96,11 +161,17 @@ func (m *Machine) settles(c machine.CoreID, now sim.Time) bool {
 
 // settle adds core c to the settled set.
 func (m *Machine) settle(c machine.CoreID) {
-	w, b := c>>6, uint64(1)<<(c&63)
-	if m.settled[w]&b == 0 {
-		m.settled[w] |= b
-		m.nSettled++
+	m.settled[c>>6] |= uint64(1) << (c & 63)
+}
+
+// settledCount returns the size of the settled set, less the padding
+// bits past the last core (New).
+func (m *Machine) settledCount() int {
+	n := -(len(m.settled)<<6 - len(m.cores))
+	for _, x := range m.settled {
+		n += bits.OnesCount64(x)
 	}
+	return n
 }
 
 // activePhysOnSocket counts physical cores on socket s that were active
@@ -168,9 +239,9 @@ func (m *Machine) Settled(c machine.CoreID) (inSet, holds bool) {
 	return inSet, m.settles(c, m.eng.Now())
 }
 
-// SettledCount implements invariant.IdleAccounting: the cached size of
-// the settled set, which underloadPass counts as idle.
-func (m *Machine) SettledCount() int { return m.nSettled }
+// SettledCount implements invariant.IdleAccounting: the size of the
+// settled set, which underloadPass counts as idle.
+func (m *Machine) SettledCount() int { return m.settledCount() }
 
 // TurboCount implements invariant.IdleAccounting: the count
 // activePhysOnSocket would return for socket s now, and the count a
@@ -199,4 +270,32 @@ func (m *Machine) TurboCount(s int) (served, scanned int) {
 		}
 	}
 	return served, scanned
+}
+
+// IdleBits implements invariant.PlacementAccounting: core c's idle and
+// claimed bits as the next placement query would read them, and as its
+// state gives them afresh. A dirty core reads afresh; no call flushes.
+func (m *Machine) IdleBits(c machine.CoreID) (servedIdle, servedClaimed, idle, claimed bool) {
+	cs := &m.cores[c]
+	idle, claimed = m.IsIdle(c), cs.claimed
+	if m.dirty[c>>6]&(uint64(1)<<(c&63)) != 0 {
+		return idle, claimed, idle, claimed
+	}
+	s, i := m.sockOf[c], m.posOf[c]
+	return m.idleMask(s).Has(i), m.claimMask(s).Has(i), idle, claimed
+}
+
+// RunningCount implements invariant.PlacementAccounting: the count
+// SocketRunning would return for socket s now, and a full recount of
+// the socket's queues, running tasks and claims. Neither flushes.
+func (m *Machine) RunningCount(s int) (served, counted int) {
+	served = m.sockRunning[s]
+	for _, c := range m.topo.SocketCores(s) {
+		cs := &m.cores[c]
+		if m.dirty[c>>6]&(uint64(1)<<(c&63)) != 0 {
+			served += cs.runnableNow() - cs.runnable
+		}
+		counted += cs.runnableNow()
+	}
+	return served, counted
 }

@@ -245,7 +245,7 @@ func (m *Machine) gaugePass(now sim.Time) {
 func (m *Machine) underloadPass(now sim.Time) {
 	used := 0
 	waiting := 0
-	idle := m.nSettled
+	idle := m.settledCount()
 	for i := m.nextUnsettled(0); i < len(m.cores); i = m.nextUnsettled(i + 1) {
 		cs := &m.cores[i]
 		if cs.usedInInterval {

@@ -173,6 +173,9 @@ func (t *Topology) Sibling(id CoreID) CoreID { return t.cores[id].Sibling }
 // returned slice is shared; callers must not modify it.
 func (t *Topology) SocketCores(s int) []CoreID { return t.bySocket[s] }
 
+// PosInSocket returns the index of core id in SocketCores of its socket.
+func (t *Topology) PosInSocket(id CoreID) int { return t.posInSocket[id] }
+
 // SameDie reports whether two cores share a last-level cache.
 func (t *Topology) SameDie(a, b CoreID) bool {
 	return t.cores[a].Socket == t.cores[b].Socket

@@ -27,20 +27,13 @@ const HalfLife = 32 * sim.Millisecond
 
 // Signal is a lazily updated exponentially weighted activity average in
 // [0, 1]. The zero value is an idle signal at time zero with the default
-// PELT half-life.
+// PELT half-life and no decay memo.
 type Signal struct {
 	value    float64
 	level    float64 // instantaneous activity the average converges toward
 	last     sim.Time
 	halfLife sim.Duration // 0 means HalfLife
-
-	// Single-entry decay-factor memo. Periodic accounting decays most
-	// signals by exactly one tick at a time, so the same dt recurs and
-	// the (expensive) exponential can be reused. The memo stores the
-	// exact math.Exp result, so cached and uncached paths are
-	// bit-identical — this is a pure time optimisation.
-	memoDt sim.Duration
-	memoF  float64
+	memo     *Memo        // nil: every decay computes its exponential
 }
 
 // WithHalfLife returns an idle signal that decays with the given
@@ -49,6 +42,46 @@ type Signal struct {
 // frequency model.
 func WithHalfLife(h sim.Duration) Signal {
 	return Signal{halfLife: h}
+}
+
+// memoBits sets the size of a Memo: 1<<memoBits entries.
+const memoBits = 6
+
+// Memo caches decay factors keyed by (half-life, elapsed time) for every
+// signal of one run. A fork scan decays each core of a socket to the
+// same instant, and most of those cores were last decayed together at
+// the previous scan, so their elapsed times match across signals; the
+// tick decays every active signal by one period. The table is
+// direct-mapped: a key lives in the one slot its hash names, and a new
+// key evicts the old. A Memo stores the exact math.Exp result, so
+// signals with and without one are bit-identical: it saves time only.
+// It is not safe for concurrent use; each machine owns its own.
+type Memo struct {
+	ent [1 << memoBits]memoEntry
+}
+
+type memoEntry struct {
+	h, dt sim.Duration // dt == 0 marks an empty slot: decays never use it
+	f     float64
+}
+
+// Signal returns an idle signal with half-life h (0 means HalfLife) that
+// shares m's decay factors.
+func (m *Memo) Signal(h sim.Duration) Signal {
+	return Signal{halfLife: h, memo: m}
+}
+
+// slot returns the one entry that may hold (h, dt). The hash mixes h
+// into high bits before the multiply: a core's two signals decay by the
+// same dt under different half-lives, and must not share a slot.
+func (m *Memo) slot(h, dt sim.Duration) *memoEntry {
+	return &m.ent[((uint64(dt)^uint64(h)<<32)*0x9E3779B97F4A7C15)>>(64-memoBits)]
+}
+
+// decayFactor is the fraction of the distance to the level that remains
+// after dt under half-life h.
+func decayFactor(h, dt sim.Duration) float64 {
+	return math.Exp(-math.Ln2 / float64(h) * float64(dt))
 }
 
 // decayTo brings the signal up to date at time t.
@@ -70,11 +103,13 @@ func (s *Signal) decayTo(t sim.Time) {
 	}
 	dt := t - s.last
 	var f float64
-	if dt == s.memoDt {
-		f = s.memoF
+	if s.memo == nil {
+		f = decayFactor(h, dt)
+	} else if e := s.memo.slot(h, dt); e.dt == dt && e.h == h {
+		f = e.f
 	} else {
-		f = math.Exp(-math.Ln2 / float64(h) * float64(dt))
-		s.memoDt, s.memoF = dt, f
+		f = decayFactor(h, dt)
+		*e = memoEntry{h: h, dt: dt, f: f}
 	}
 	// Converges toward the current activity level. The conversion rounds
 	// the product, so no architecture fuses it into the add.

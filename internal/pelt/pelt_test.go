@@ -123,3 +123,54 @@ func TestDutyCycleSteadyState(t *testing.T) {
 		t.Fatalf("50%% duty cycle steady state = %v, want ~0.5", v)
 	}
 }
+
+// TestSharedMemoBitIdentical drives signals that share one decay memo
+// and memo-free twins through the same random schedules of SetLevel,
+// Value and Reset, with both the PELT and the HWP half-life going
+// through the one memo and many signals hitting, missing and evicting
+// its entries. Every value must be bit-identical to the twin's.
+func TestSharedMemoBitIdentical(t *testing.T) {
+	r := sim.NewRand(5)
+	var memo Memo
+	const n = 24
+	shared := make([]Signal, n)
+	plain := make([]Signal, n)
+	for i := range shared {
+		h := HalfLife
+		if i%2 == 1 {
+			h = 2 * sim.Millisecond
+		}
+		shared[i], plain[i] = memo.Signal(h), WithHalfLife(h)
+	}
+	// Times advance on a coarse grid, so elapsed times recur across
+	// signals (memo hits) but not always (misses and evictions).
+	now := sim.Time(0)
+	for step := 0; step < 20000; step++ {
+		if r.Intn(4) == 0 {
+			now += sim.Duration(1+r.Intn(40)) * 250 * sim.Microsecond
+		}
+		i := r.Intn(n)
+		s, p := &shared[i], &plain[i]
+		switch r.Intn(4) {
+		case 0:
+			lv := []float64{0, 0.35, 1, r.Float64()}[r.Intn(4)]
+			s.SetLevel(now, lv)
+			p.SetLevel(now, lv)
+		case 1:
+			v := r.Float64()
+			s.Reset(now, v)
+			p.Reset(now, v)
+		default:
+			if a, b := s.Value(now), p.Value(now); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("step %d signal %d: shared memo %v, memo-free %v", step, i, a, b)
+			}
+		}
+	}
+	halfLives := map[sim.Duration]bool{}
+	for _, e := range memo.ent {
+		halfLives[e.h] = true
+	}
+	if !halfLives[HalfLife] || !halfLives[2*sim.Millisecond] {
+		t.Fatalf("memo holds half-lives %v, want both", halfLives)
+	}
+}

@@ -60,9 +60,19 @@ type Machine interface {
 	// socket before its rising load becomes visible.
 	SocketLoads() []float64
 	// SocketRunning returns per-socket runnable-task counts (running +
-	// queued), also cached at the last tick. Fork's NUMA spill decision
-	// compares these: sleeping tasks don't pin their socket.
+	// queued + placements in flight), current at the call: unlike
+	// SocketLoads they are not cached at the tick, so a fork storm sees
+	// its own earlier placements. Fork's NUMA spill decision compares
+	// these: sleeping tasks don't pin their socket.
 	SocketRunning() []int
+	// IdleMask returns socket s's cores for which IsIdle holds, as a Mask
+	// indexed by position in Topo().SocketCores(s). The slice belongs to
+	// the machine and reflects its state at the call; callers must
+	// neither modify it nor keep it across a placement.
+	IdleMask(s int) Mask
+	// ClaimedMask returns socket s's cores for which Claimed holds, on
+	// the same terms as IdleMask.
+	ClaimedMask(s int) Mask
 
 	// ChargeSearch accounts placement work (cores examined plus a fixed
 	// policy cost in nanoseconds) against the core performing the

@@ -136,6 +136,23 @@ func (f *Fake) SocketLoads() []float64 { return f.SockLoad }
 // SocketRunning implements sched.Machine.
 func (f *Fake) SocketRunning() []int { return f.SockRun }
 
+// IdleMask implements sched.Machine, built afresh from the maps.
+func (f *Fake) IdleMask(s int) sched.Mask { return f.mask(s, f.IsIdle) }
+
+// ClaimedMask implements sched.Machine, built afresh from the maps.
+func (f *Fake) ClaimedMask(s int) sched.Mask { return f.mask(s, f.Claimed) }
+
+func (f *Fake) mask(s int, in func(machine.CoreID) bool) sched.Mask {
+	cores := f.Topo().SocketCores(s)
+	m := make(sched.Mask, sched.MaskWords(len(cores)))
+	for i, c := range cores {
+		if in(c) {
+			m.Set(i)
+		}
+	}
+	return m
+}
+
 // ChargeSearch implements sched.Machine.
 func (f *Fake) ChargeSearch(examined int, fixed sim.Duration) {
 	f.Examined += examined
@@ -145,6 +162,65 @@ func (f *Fake) ChargeSearch(examined int, fixed sim.Duration) {
 // MoveIfStillQueued implements sched.Machine.
 func (f *Fake) MoveIfStillQueued(t *proc.Task, to machine.CoreID, d sim.Duration) {
 	f.Moves = append(f.Moves, Move{Task: t, To: to, Delay: d})
+}
+
+// Specs returns machines for differential tests of the placement
+// searches: every preset, an SMT1 machine, and machines with more than
+// 64 hardware threads per socket, so that a socket's masks span several
+// words, with and without SMT.
+func Specs() []*machine.Spec {
+	var specs []*machine.Spec
+	for _, name := range machine.PresetNames() {
+		spec, err := machine.Preset(name)
+		if err != nil {
+			panic(err)
+		}
+		specs = append(specs, spec)
+	}
+	for _, d := range []struct{ sockets, phys, smt int }{{2, 12, 1}, {2, 40, 2}, {2, 130, 1}} {
+		topo, err := machine.NewChecked("test", d.sockets, d.phys, d.smt)
+		if err != nil {
+			panic(err)
+		}
+		specs = append(specs, &machine.Spec{
+			Topo: topo, Arch: "test", Min: 1000, Nominal: 2000,
+			IdleSocketW: 1, ActiveBaseW: 1, DynPerGHzW: 1,
+		})
+	}
+	return specs
+}
+
+// Scramble gives every core a fresh random state for differential
+// tests of the placement searches. Each core is independently busy,
+// queued on, claimed and offline with probabilities scaled by density
+// (0 leaves the machine idle); socket loads and runnable counts are
+// drawn too, so load-based choices vary. Offline cores take no other
+// state, as in the runtime.
+func (f *Fake) Scramble(r *sim.Rand, density float64) {
+	clear(f.Busy)
+	clear(f.Offline)
+	clear(f.Queue)
+	clear(f.ClaimedV)
+	topo := f.Topo()
+	for c := machine.CoreID(0); int(c) < topo.NumCores(); c++ {
+		if r.Float64() < density/8 {
+			f.Offline[c] = true
+			continue
+		}
+		if r.Float64() < density {
+			f.Busy[c] = true
+		}
+		if r.Float64() < density/3 {
+			f.Queue[c] = 1 + r.Intn(3)
+		}
+		if r.Float64() < density/2 {
+			f.ClaimedV[c] = true
+		}
+	}
+	for s := range f.SockLoad {
+		f.SockLoad[s] = 4 * r.Float64()
+		f.SockRun[s] = r.Intn(1 + topo.NumCores()/topo.NumSockets())
+	}
 }
 
 // NewTask returns a task with the given core history for placement tests.
