@@ -11,14 +11,20 @@
 //
 //	nestobs report events.jsonl
 //	nestobs diff nest.jsonl cfs.jsonl
+//	nestobs expand events.jsonl > full.jsonl
 //
 // Everything is derived from the stream, so a report is reproducible
-// from the .jsonl artifact alone: same file, same bytes out. Execution
-// slices ("ev":"slice") are skipped: the report has no per-slice view
-// (nestsim -chrometrace renders them), and they bump no counter.
+// from the .jsonl artifact alone: same file, same bytes out. Streams
+// leave out core gauges that repeat their core's last line (wire format
+// 2); nestobs puts them back with obs.ExpandGauges before it reads a
+// stream, and expand writes that full-batch stream to stdout for
+// readers outside Go. Execution slices ("ev":"slice") are skipped by
+// report and diff: the report has no per-slice view (nestsim
+// -chrometrace renders them), and they bump no counter.
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -38,9 +44,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nestobs:", msg)
 		fmt.Fprintln(os.Stderr, "usage: nestobs report <events.jsonl>")
 		fmt.Fprintln(os.Stderr, "       nestobs diff <a.jsonl> <b.jsonl>")
+		fmt.Fprintln(os.Stderr, "       nestobs expand <events.jsonl>")
 		os.Exit(2)
 	}
 	switch {
+	case len(args) == 2 && args[0] == "expand":
+		if err := expandFile(os.Stdout, args[1]); err != nil {
+			fmt.Fprintln(os.Stderr, "nestobs:", err)
+			os.Exit(1)
+		}
 	case len(args) == 2 && args[0] == "report":
 		a, err := loadFile(args[1])
 		if err != nil {
@@ -61,7 +73,7 @@ func main() {
 		}
 		writeDiff(os.Stdout, args[1], args[2], a, b)
 	default:
-		fail("expected a subcommand: report or diff")
+		fail("expected a subcommand: report, diff or expand")
 	}
 }
 
@@ -91,23 +103,60 @@ func (a *analysis) cols() int {
 	return a.instants
 }
 
-// loadFile decodes one JSONL stream, minus its execution slices, and
-// aggregates it.
+// loadFile decodes one JSONL stream and aggregates it.
 func loadFile(path string) (*analysis, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var evs []obs.Event
-	if _, err := obs.DecodeStream(f, func(ev obs.Event) {
-		if _, ok := ev.(*obs.ExecSlice); !ok {
-			evs = append(evs, ev)
-		}
-	}); err != nil {
+	evs, err := decode(f)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return analyze(evs), nil
+}
+
+// decode reads a JSONL stream with its skipped core gauges restored and
+// its execution slices dropped.
+func decode(r io.Reader) ([]obs.Event, error) {
+	var evs []obs.Event
+	_, err := obs.DecodeStream(r, obs.ExpandGauges(func(ev obs.Event) {
+		if _, ok := ev.(*obs.ExecSlice); !ok {
+			evs = append(evs, ev)
+		}
+	}))
+	return evs, err
+}
+
+// expandFile writes the stream at path to w in full-batch form: every
+// decoded event, slices included, one line each, with the core gauges
+// the stream left out restored. Lines of kinds this build does not know
+// are dropped.
+func expandFile(w io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	bw := bufio.NewWriter(w)
+	var line []byte
+	var werr error
+	_, err = obs.DecodeStream(f, obs.ExpandGauges(func(ev obs.Event) {
+		if werr != nil {
+			return
+		}
+		if line, werr = obs.AppendJSONL(line[:0], ev); werr == nil {
+			_, werr = bw.Write(line)
+		}
+	}))
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if werr != nil {
+		return werr
+	}
+	return bw.Flush()
 }
 
 // analyze replays decoded events through a fresh hub (recomputing the

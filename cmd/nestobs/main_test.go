@@ -71,8 +71,8 @@ func roundTrip(t *testing.T, evs []obs.Event) []obs.Event {
 	if err := rec.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	var out []obs.Event
-	if _, err := obs.DecodeStream(&buf, func(ev obs.Event) { out = append(out, ev) }); err != nil {
+	out, err := decode(&buf)
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	return out
@@ -206,6 +206,47 @@ func TestLoadFileSkipsSlices(t *testing.T) {
 	writeReport(&buf, a)
 	if got := buf.String(); got != goldenReport {
 		t.Errorf("slices changed the report:\n%s", got)
+	}
+}
+
+// TestExpandFile checks nestobs expand: the nest fixture recorded to a
+// file leaves out its repeated core gauges, and expand writes back
+// every fixture event, one full line each.
+func TestExpandFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nest.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewJSONL(f)
+	var want []byte
+	for _, ev := range fixtureNest() {
+		rec.Record(ev)
+		if want, err = obs.AppendJSONL(want, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = rec.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := []byte(`"ev":"core_gauge"`)
+	if n, all := bytes.Count(recorded, gauge), bytes.Count(want, gauge); n >= all {
+		t.Fatalf("recorded stream has %d of %d core gauges; the fixture repeats cores 2 and 3", n, all)
+	}
+	var got bytes.Buffer
+	if err := expandFile(&got, path); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("expand wrote:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
 

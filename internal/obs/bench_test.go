@@ -41,7 +41,10 @@ func reportPerEvent(b *testing.B, perOp int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/event")
 }
 
-// BenchmarkJSONLRecord encodes gauge batches into io.Discard.
+// BenchmarkJSONLRecord records one gauge batch over and over into
+// io.Discard. Wire format 2 encodes the first batch in full; after it,
+// each batch repeats, so only its core 0 (no underload gauge closes the
+// batch) and its nest and socket gauges are encoded.
 func BenchmarkJSONLRecord(b *testing.B) {
 	batch := gaugeBatch()
 	r := NewJSONL(io.Discard)

@@ -89,7 +89,9 @@ func DecodeLine(line []byte) (Event, error) {
 
 // DecodeStream reads a JSONL event stream line by line, calling fn for
 // each decoded event (unknown kinds are skipped). It returns the number
-// of events delivered and the first decode or read error.
+// of events decoded, one per line of a known kind, and the first decode
+// or read error. A stream leaves out repeated core gauges (wire format
+// 2); pass fn through ExpandGauges to get them back.
 func DecodeStream(r io.Reader, fn func(ev Event)) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)

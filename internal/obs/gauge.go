@@ -9,12 +9,14 @@ import (
 // ---- Gauge events ----------------------------------------------------
 //
 // The periodic sampler (internal/cpu, Config.SampleEvery) emits one
-// batch of gauges per sample instant: a CoreGauge per online core in
-// ascending core order, one NestGauge when the scheduler exposes nest
-// sizes, a SocketGauge per socket in ascending socket order, and one
-// UnderloadGauge. The batches ride the ordinary event stream, so
-// -events files interleave them with decisions and a -series file can
-// carry them alone.
+// batch of gauges per sample instant: a CoreGauge per core in ascending
+// core order (an offline core reports state "offline"), one NestGauge
+// when the scheduler exposes nest sizes, a SocketGauge per socket in
+// ascending socket order, and one UnderloadGauge. The batches ride the
+// ordinary event stream, so -events files interleave them with
+// decisions and a -series file can carry them alone. A JSONL stream
+// leaves out the core gauges that repeat their core's last line
+// (expand.go).
 //
 // Gauges travel as pointers: the sampler emits *CoreGauge and friends
 // pointing at a value it reuses for the whole batch, and DecodeLine

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -304,17 +305,32 @@ func counterNames(t *testing.T, ev Event) []string {
 	return nil
 }
 
+// oracleLine is one oracle line of FuzzJSONLRecorder's stream, with the
+// core and (state, freq, queue) of a core gauge.
+type oracleLine struct {
+	line   []byte
+	core   int
+	triple string // "" for lines other than core gauges
+	run    bool
+}
+
 // FuzzJSONLRecorder decodes the fuzz input into an event stream and
 // sends it through obs.New(jsonl), the way a run does. Gauges and
 // execution slices arrive in runs of pointers to one scratch value per
 // kind, refilled for each event as the runtime refills its own,
 // interleaved with the other kinds. Slice task names come from the
 // counter vocabulary: a slice bumps no counter, whatever its name. The
-// stream must equal the concatenated encoding/json oracle lines,
-// stopping at the first event the oracle cannot encode, and the
-// counter snapshot must equal a tally built by name with Add.
+// stream must be the encoding/json oracle lines, stopping at the first
+// event the oracle cannot encode, less core gauges that wire format 2
+// may leave out: each line left out must be a core gauge whose state,
+// frequency and queue equal the last line written for its core since
+// the last run line. The counter snapshot must equal a tally built by
+// name with Add. FuzzExpandGauges checks that the lines left out can be
+// restored.
 func FuzzJSONLRecorder(f *testing.F) {
 	f.Add([]byte{})
+	// Core gauges with core numbers near 2^58: a carry table sized by
+	// the core number runs out of memory here.
 	f.Add(bytes.Repeat([]byte{0x8d, 0x05, 0x02}, 64))
 	for k := 0; k < len(allEventKinds()); k++ {
 		f.Add(bytes.Repeat([]byte{byte(k), 0x03, 0x10}, 40))
@@ -337,7 +353,8 @@ func FuzzJSONLRecorder(f *testing.F) {
 			}
 		}
 
-		var out, want bytes.Buffer
+		var out bytes.Buffer
+		var want []oracleLine
 		r := NewJSONL(&out)
 		h := New(r)
 		tally := NewCounters()
@@ -355,7 +372,14 @@ func FuzzJSONLRecorder(f *testing.F) {
 				failed = true
 				return
 			}
-			want.Write(line)
+			o := oracleLine{line: line, core: -1}
+			switch e := ev.(type) {
+			case *CoreGauge:
+				o.core, o.triple = e.Core, fmt.Sprintf("%q %d %d", e.State, e.FreqMHz, e.Queue)
+			case RunInfo:
+				o.run = true
+			}
+			want = append(want, o)
 		}
 		for n := 0; len(s.data) > 0 && n < 512; n++ {
 			sel := s.next()
@@ -391,8 +415,29 @@ func FuzzJSONLRecorder(f *testing.F) {
 		if failed != (err != nil) {
 			t.Fatalf("oracle failed: %v, recorder error: %v", failed, err)
 		}
-		if !bytes.Equal(out.Bytes(), want.Bytes()) {
-			t.Fatalf("stream differs from the oracle:\n got %s\nwant %s", out.Bytes(), want.Bytes())
+		lines := bytes.SplitAfter(out.Bytes(), []byte("\n"))
+		lines = lines[:len(lines)-1] // the empty tail after the last newline
+		if r.Lines() != len(lines) {
+			t.Fatalf("Lines() = %d, stream has %d", r.Lines(), len(lines))
+		}
+		written := map[int]string{} // core → triple of its last written line
+		for _, o := range want {
+			if len(lines) > 0 && bytes.Equal(lines[0], o.line) {
+				lines = lines[1:]
+				if o.run {
+					clear(written)
+				}
+				if o.triple != "" {
+					written[o.core] = o.triple
+				}
+				continue
+			}
+			if o.triple == "" || written[o.core] != o.triple {
+				t.Fatalf("recorder left out %s(last line written for its core: %q)", o.line, written[o.core])
+			}
+		}
+		if len(lines) > 0 {
+			t.Fatalf("recorder wrote %q, which the oracle does not have there", lines[0])
 		}
 		snap, tallied := h.Snapshot(), tally.Snapshot()
 		for _, name := range tally.Names() {
@@ -402,6 +447,125 @@ func FuzzJSONLRecorder(f *testing.F) {
 		}
 		if got, want := h.Counters().Names(), tally.Names(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("counter names differ:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// fullRecorder is the full-batch encoder: one line per recorded event,
+// every core gauge included.
+type fullRecorder struct {
+	b   []byte
+	err error
+}
+
+func (f *fullRecorder) Record(ev Event) {
+	if f.err == nil {
+		f.b, f.err = AppendJSONL(f.b, ev)
+	}
+}
+
+// expandJSONL decodes a recorded stream, expands it and re-encodes it.
+func expandJSONL(t *testing.T, stream []byte) []byte {
+	t.Helper()
+	var got []byte
+	var err error
+	if _, derr := DecodeStream(bytes.NewReader(stream), ExpandGauges(func(ev Event) {
+		if err == nil {
+			got, err = AppendJSONL(got, ev)
+		}
+	})); derr != nil || err != nil {
+		t.Fatalf("decode %v, encode %v", derr, err)
+	}
+	return got
+}
+
+// FuzzExpandGauges builds gauge batches as the sampler emits them, from
+// the fuzz input: runs of 1 to 8 cores opened by RunInfo, each batch's
+// cores repeating or changing their state (offline included), frequency
+// and queue at random, an optional nest gauge, a socket gauge, an
+// underload gauge that some batches leave out, and decisions between
+// batches. It records them through obs.Multi into a JSONL recorder and
+// the full-batch encoder. The recorded stream, expanded, must equal the
+// full stream byte for byte, and the recorder must write exactly the
+// core gauges that differ from their core's previous one, plus each
+// run's first batch and core 0 after a batch without an underload gauge.
+func FuzzExpandGauges(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0x12, 0x01, 0x05, 0x09, 0x0d}, 20))
+	f.Add(bytes.Repeat([]byte{0x37, 0xfc, 0x02, 0x40, 0x08, 0x22}, 24))
+	f.Add([]byte{3, 2, 0, 5, 0xfe, 0xfe, 0xfe, 0x30, 0, 0, 0, 8, 7, 1, 0x12, 0, 0, 0, 0, 0, 0, 0, 0x12, 4, 4})
+	// Two cores: a queue-only and a state-only change, a frequency-only
+	// change, then a batch without an underload gauge followed by one
+	// that repeats both cores: its core 0 must still be written.
+	f.Add([]byte{1, 2, 0x00, 0x00, 2, 0x40, 0x04, 2, 0x50, 0x01, 0x22, 0x01, 0x01, 2, 0x01, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &fuzzSource{data: data}
+		var out bytes.Buffer
+		r := NewJSONL(&out)
+		full := &fullRecorder{}
+		rec := Multi(r, full)
+		states := []string{"busy", "spin", "idle", "offline"}
+
+		var g CoreGauge // one scratch value, as the sampler reuses its own
+		var prev []CoreGauge
+		cores := int(s.next()%8) + 1
+		closed := true // the last batch ended with an underload gauge
+		now := sim.Time(0)
+		wantCore := 0
+		for batches := 0; len(s.data) > 0 && batches < 64; {
+			op := s.next()
+			switch op % 8 {
+			case 0:
+				cores = int(s.next()%8) + 1
+				rec.Record(RunInfo{Machine: "fuzz", Scheduler: "nest", Seed: uint64(op)})
+				prev, closed, now = prev[:0], true, 0
+			case 1:
+				rec.Record(PlacementDecision{T: now, Sched: "nest", Core: int(s.next() % 8), Path: "attached"})
+			default:
+				batches++
+				now += 4 * sim.Millisecond
+				busy := 0
+				for c := 0; c < cores; c++ {
+					ctl := s.next()
+					g = CoreGauge{T: now, Core: c, State: states[ctl>>2%4], FreqMHz: 1000 + 100*int(ctl>>4%4), Queue: int(ctl >> 6)}
+					if c < len(prev) && ctl%4 != 0 {
+						g.State, g.FreqMHz, g.Queue = prev[c].State, prev[c].FreqMHz, prev[c].Queue
+					}
+					if c >= len(prev) || c == 0 && !closed ||
+						g.State != prev[c].State || g.FreqMHz != prev[c].FreqMHz || g.Queue != prev[c].Queue {
+						wantCore++
+					}
+					if c < len(prev) {
+						prev[c] = g
+					} else {
+						prev = append(prev, g)
+					}
+					if g.State == "busy" {
+						busy++
+					}
+					rec.Record(&g)
+				}
+				if op&0x10 != 0 {
+					rec.Record(&NestGauge{T: now, Primary: busy, Reserve: 1})
+				}
+				rec.Record(&SocketGauge{T: now, Socket: 0, Busy: busy, Online: cores})
+				closed = op&0x20 == 0
+				if closed {
+					rec.Record(&UnderloadGauge{T: now, Underload: cores - busy})
+				}
+			}
+		}
+		if err := r.Flush(); err != nil || full.err != nil {
+			t.Fatalf("recorder %v, full encoder %v", err, full.err)
+		}
+		if got := expandJSONL(t, out.Bytes()); !bytes.Equal(got, full.b) {
+			t.Fatalf("expanded stream differs from the full stream:\n got %s\nwant %s\nrecorded %s", got, full.b, out.Bytes())
+		}
+		if n := bytes.Count(out.Bytes(), []byte(`{"ev":"core_gauge"`)); n != wantCore {
+			t.Fatalf("recorder wrote %d core gauges, want %d:\n%s", n, wantCore, out.Bytes())
+		}
+		if n := bytes.Count(out.Bytes(), []byte("\n")); r.Lines() != n {
+			t.Fatalf("Lines() = %d, stream has %d", r.Lines(), n)
 		}
 	})
 }
