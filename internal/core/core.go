@@ -59,7 +59,7 @@ type Policy struct {
 	cfg  Config
 	cfs  *cfs.Policy
 	init bool
-	h    *obs.Hub // cached from the machine in ensure; nil-safe
+	h    *obs.Hub // the machine's hub, read by ensure's first call; nil-safe
 
 	primary  coreSet
 	lastUsed []sim.Time
@@ -195,9 +195,10 @@ func (p *Policy) ensure(m sched.Machine, ref machine.CoreID) {
 		p.primary = coreSet{words: words[: ns*mw : ns*mw], bitOf: bitOf, mw: mw}
 		p.reserve = coreSet{words: words[ns*mw : 2*ns*mw : 2*ns*mw], bitOf: bitOf, mw: mw}
 		p.cand = words[2*ns*mw:]
+		// The machine's hub is fixed for its run, so it is read once.
+		p.h = m.Obs()
 		p.init = true
 	}
-	p.h = m.Obs()
 	if !p.haveStart {
 		p.startCore = ref
 		p.haveStart = true
