@@ -114,7 +114,7 @@ func main() {
 		const name = "fanout/custom"
 		if err := workload.RegisterFanoutWorkload(name, *fanoutStr, *hedgeStr, *fanoutLoad); err != nil {
 			fmt.Fprintln(os.Stderr, "nestsim:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		hedge := *hedgeStr
 		if hedge == "" {
@@ -336,16 +336,16 @@ func registerArrivalTrace(path, policy string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	sp := &workload.ArrivalSpec{Path: path}
-	if err := sp.LoadTrace(f); err != nil {
+	entries, err := workload.LoadTrace(f)
+	if err != nil {
 		return "", fmt.Errorf("%s: %w", path, err)
 	}
 	base := filepath.Base(path)
 	name := "trace/" + base[:len(base)-len(filepath.Ext(base))]
-	if err := workload.RegisterTraceWorkload(name, sp.Trace, policy); err != nil {
+	if err := workload.RegisterTraceWorkload(name, entries, policy); err != nil {
 		return "", err
 	}
-	fmt.Printf("registered %s: %d arrivals, admission %s\n", name, len(sp.Trace), policy)
+	fmt.Printf("registered %s: %d arrivals, admission %s\n", name, len(entries), policy)
 	return name, nil
 }
 

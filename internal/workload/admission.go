@@ -155,8 +155,8 @@ func (p *tokenPolicy) dropAtDequeue(sim.Time, sim.Duration, int) bool { return f
 // back below it. Network CoDel's one-drop-per-control-interval ramp is
 // far too slow for request queues at serving rates; clamping the
 // sojourn to target directly is what keeps served requests inside
-// their deadline. Admission always accepts — the queue-depth bound is
-// the workload's QueueDepth backstop.
+// their deadline. Admission always accepts — the pool's queue bound is
+// the backstop.
 type codelPolicy struct {
 	target   sim.Duration
 	interval sim.Duration

@@ -33,16 +33,16 @@ const (
 
 // maxRate bounds rates to one arrival per simulated nanosecond: above
 // that, interarrival gaps truncate to zero and the "process" degenerates
-// into a single burst. Together with float64 parsing it also keeps the
-// canonical form round-trippable. minRate keeps nonzero rates' mean gaps
-// (1e9/rate seconds) well inside the representable duration range.
+// into a single burst. minRate keeps nonzero rates' mean gaps (1e9/rate
+// seconds) well inside the representable duration range.
 const (
 	maxRate = 1e9
 	minRate = 1e-3
 )
 
-// ArrivalSpec describes an arrival process in a canonical, parseable
-// form (see ParseArrivalSpec). Rates are requests per simulated second.
+// ArrivalSpec describes an open-loop arrival process. Each preset
+// derives its own from its pool's capacity; traces come from LoadTrace.
+// Rates are requests per simulated second.
 type ArrivalSpec struct {
 	Kind ArrivalKind
 	// Rate is the Poisson rate.
@@ -55,10 +55,7 @@ type ArrivalSpec struct {
 	// length. The curve starts at the trough.
 	Peak, Trough float64
 	Period       sim.Duration
-	// Path names the JSONL trace for ArrTrace; Trace holds the entries
-	// once loaded (the parser never touches the filesystem — callers
-	// load the file and attach the entries via LoadTrace).
-	Path  string
+	// Trace holds the ArrTrace entries (see LoadTrace).
 	Trace []TraceEntry
 }
 
@@ -71,65 +68,6 @@ type TraceEntry struct {
 	// Class optionally names the request class ("web", "kv", "script");
 	// empty entries draw from the workload's configured class mix.
 	Class string `json:"class,omitempty"`
-}
-
-// ParseArrivalSpec parses the arrival-process DSL:
-//
-//	poisson:rate=<rate>                          fixed-rate Poisson
-//	mmpp:hi=<rate>,lo=<rate>[,on=<dur>,off=<dur>]  on/off modulated bursts
-//	diurnal:peak=<rate>,trough=<rate>,period=<dur> raised-cosine day curve
-//	trace:<path>                                 JSONL trace replay
-//
-// Rates are "<number>/s" (requests per simulated second); durations a
-// number plus ns/us/ms/s, as in the fault DSL. MMPP dwell times default
-// to on=4ms, off=12ms. String renders the canonical form; parse and
-// String are mutual fixpoints (fuzzed by FuzzParseArrivalSpec).
-func ParseArrivalSpec(s string) (*ArrivalSpec, error) {
-	s = strings.TrimSpace(s)
-	head, rest, ok := strings.Cut(s, ":")
-	if !ok {
-		return nil, fmt.Errorf("arrival spec %q: missing ':' (want kind:params)", s)
-	}
-	switch head {
-	case "poisson":
-		sp := &ArrivalSpec{Kind: ArrPoisson}
-		err := parseKV(rest, map[string]func(string) error{
-			"rate": func(v string) (err error) { sp.Rate, err = parseRate(v); return },
-		}, "rate")
-		return sp, err
-	case "mmpp":
-		sp := &ArrivalSpec{Kind: ArrMMPP, On: 4 * msec, Off: 12 * msec}
-		err := parseKV(rest, map[string]func(string) error{
-			"hi":  func(v string) (err error) { sp.Hi, err = parseRate(v); return },
-			"lo":  func(v string) (err error) { sp.Lo, err = parseRateOrZero(v); return },
-			"on":  func(v string) (err error) { sp.On, err = parsePosDur(v); return },
-			"off": func(v string) (err error) { sp.Off, err = parsePosDur(v); return },
-		}, "hi", "lo")
-		if err == nil && sp.Lo > sp.Hi {
-			err = fmt.Errorf("mmpp: lo rate %s exceeds hi rate %s", fmtRate(sp.Lo), fmtRate(sp.Hi))
-		}
-		return sp, err
-	case "diurnal":
-		sp := &ArrivalSpec{Kind: ArrDiurnal}
-		err := parseKV(rest, map[string]func(string) error{
-			"peak":   func(v string) (err error) { sp.Peak, err = parseRate(v); return },
-			"trough": func(v string) (err error) { sp.Trough, err = parseRateOrZero(v); return },
-			"period": func(v string) (err error) { sp.Period, err = parsePosDur(v); return },
-		}, "peak", "trough", "period")
-		if err == nil && sp.Trough > sp.Peak {
-			err = fmt.Errorf("diurnal: trough %s exceeds peak %s", fmtRate(sp.Trough), fmtRate(sp.Peak))
-		}
-		return sp, err
-	case "trace":
-		if rest == "" {
-			return nil, fmt.Errorf("trace: missing path")
-		}
-		if strings.ContainsAny(rest, ", =") {
-			return nil, fmt.Errorf("trace: path %q may not contain ',', ' ' or '='", rest)
-		}
-		return &ArrivalSpec{Kind: ArrTrace, Path: rest}, nil
-	}
-	return nil, fmt.Errorf("unknown arrival kind %q (want poisson/mmpp/diurnal/trace)", head)
 }
 
 // parseKV parses "k=v,k=v" with no duplicates, dispatching each pair to
@@ -163,25 +101,16 @@ func parseKV(s string, setters map[string]func(string) error, required ...string
 	return nil
 }
 
-// parseRate parses "<number>/s" into requests per second, > 0.
+// parseRate parses "<number>/s" into requests per second, within
+// [minRate, maxRate].
 func parseRate(s string) (float64, error) {
-	v, err := parseRateOrZero(s)
-	if err == nil && v <= 0 {
-		return 0, fmt.Errorf("rate %q must be positive", s)
-	}
-	return v, err
-}
-
-// parseRateOrZero parses "<number>/s", allowing zero (a silent phase).
-func parseRateOrZero(s string) (float64, error) {
 	num, ok := strings.CutSuffix(s, "/s")
 	if !ok {
 		return 0, fmt.Errorf("bad rate %q (want e.g. 2500/s)", s)
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > maxRate ||
-		(v > 0 && v < minRate) {
-		return 0, fmt.Errorf("rate %q out of range (want 1e-3 <= rate <= 1e9 requests/s, or 0)", s)
+	if err != nil || !(v >= minRate && v <= maxRate) {
+		return 0, fmt.Errorf("rate %q out of range (want 1e-3 <= rate <= 1e9 requests/s)", s)
 	}
 	return v, nil
 }
@@ -234,23 +163,6 @@ func parseArrDur(s string) (sim.Duration, error) {
 	return sim.Duration(d), nil
 }
 
-// String renders the canonical DSL form (see ParseArrivalSpec).
-func (sp *ArrivalSpec) String() string {
-	switch sp.Kind {
-	case ArrPoisson:
-		return "poisson:rate=" + fmtRate(sp.Rate)
-	case ArrMMPP:
-		return fmt.Sprintf("mmpp:hi=%s,lo=%s,on=%s,off=%s",
-			fmtRate(sp.Hi), fmtRate(sp.Lo), fmtArrDur(sp.On), fmtArrDur(sp.Off))
-	case ArrDiurnal:
-		return fmt.Sprintf("diurnal:peak=%s,trough=%s,period=%s",
-			fmtRate(sp.Peak), fmtRate(sp.Trough), fmtArrDur(sp.Period))
-	case ArrTrace:
-		return "trace:" + sp.Path
-	}
-	return fmt.Sprintf("?(%d)", int(sp.Kind))
-}
-
 // fmtRate renders a rate so it re-parses to the identical float64.
 func fmtRate(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64) + "/s"
@@ -277,7 +189,7 @@ func (sp *ArrivalSpec) Validate() error {
 	switch sp.Kind {
 	case ArrPoisson:
 		if !okRate(sp.Rate) {
-			return fmt.Errorf("poisson rate out of range")
+			return fmt.Errorf("poisson rate %g/s out of range [%g, %g]", sp.Rate, minRate, maxRate)
 		}
 	case ArrMMPP:
 		if !okRate(sp.Hi) || !okLo(sp.Lo) || sp.Lo > sp.Hi {
@@ -294,8 +206,8 @@ func (sp *ArrivalSpec) Validate() error {
 			return fmt.Errorf("diurnal period must be positive")
 		}
 	case ArrTrace:
-		if sp.Path == "" && len(sp.Trace) == 0 {
-			return fmt.Errorf("trace spec without path or loaded entries")
+		if len(sp.Trace) == 0 {
+			return fmt.Errorf("trace has no arrivals")
 		}
 		var prev sim.Time = -1
 		for i, e := range sp.Trace {
@@ -310,21 +222,6 @@ func (sp *ArrivalSpec) Validate() error {
 	return nil
 }
 
-// MeanRate returns the process's long-run average rate in requests per
-// second (0 for traces, whose rate is whatever the file says).
-func (sp *ArrivalSpec) MeanRate() float64 {
-	switch sp.Kind {
-	case ArrPoisson:
-		return sp.Rate
-	case ArrMMPP:
-		on, off := float64(sp.On), float64(sp.Off)
-		return (sp.Hi*on + sp.Lo*off) / (on + off)
-	case ArrDiurnal:
-		return (sp.Peak + sp.Trough) / 2
-	}
-	return 0
-}
-
 // ArrivalSource generates successive arrivals. Next returns the gap to
 // the next arrival and its request class ("" = draw from the workload's
 // mix); ok=false means the source is exhausted (finite traces).
@@ -332,9 +229,8 @@ type ArrivalSource interface {
 	Next(r *sim.Rand) (gap sim.Duration, class string, ok bool)
 }
 
-// Source builds the spec's generator. Trace specs must have entries
-// loaded (LoadTrace); every source draws only from the caller's seeded
-// sim.Rand, so replays are byte-identical.
+// Source builds the spec's generator. Every source draws only from the
+// caller's seeded sim.Rand, so replays are byte-identical.
 func (sp *ArrivalSpec) Source() (ArrivalSource, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -347,9 +243,6 @@ func (sp *ArrivalSpec) Source() (ArrivalSource, error) {
 	case ArrDiurnal:
 		return &diurnalSource{sp: *sp}, nil
 	case ArrTrace:
-		if len(sp.Trace) == 0 {
-			return nil, fmt.Errorf("trace %q not loaded (call LoadTrace first)", sp.Path)
-		}
 		return &traceSource{entries: sp.Trace}, nil
 	}
 	return nil, fmt.Errorf("unknown arrival kind %d", int(sp.Kind))
@@ -452,9 +345,9 @@ func (s *traceSource) Next(_ *sim.Rand) (sim.Duration, string, bool) {
 }
 
 // LoadTrace reads a JSONL arrival trace (one TraceEntry per line, blank
-// lines skipped) and attaches it to the spec. Timestamps must be
-// non-negative and non-decreasing.
-func (sp *ArrivalSpec) LoadTrace(r io.Reader) error {
+// lines skipped). The trace must hold at least one arrival, and its
+// timestamps must be non-negative and non-decreasing.
+func LoadTrace(r io.Reader) ([]TraceEntry, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	var entries []TraceEntry
@@ -467,16 +360,18 @@ func (sp *ArrivalSpec) LoadTrace(r io.Reader) error {
 		}
 		var e TraceEntry
 		if err := json.Unmarshal([]byte(b), &e); err != nil {
-			return fmt.Errorf("trace line %d: %w", line, err)
+			return nil, fmt.Errorf("trace line %d: %w", line, err)
 		}
 		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	sp.Trace = entries
-	sp.Kind = ArrTrace
-	return sp.Validate()
+	sp := ArrivalSpec{Kind: ArrTrace, Trace: entries}
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	return entries, nil
 }
 
 // WriteTrace writes entries in the canonical JSONL form LoadTrace reads.

@@ -10,90 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestParseArrivalSpecRoundTrip(t *testing.T) {
-	for _, s := range []string{
-		"poisson:rate=2500/s",
-		"poisson:rate=0.5/s",
-		"mmpp:hi=100000/s,lo=2000/s,on=4ms,off=12ms",
-		"mmpp:hi=5000/s,lo=0/s,on=1ms,off=250us",
-		"diurnal:peak=80000/s,trough=1000/s,period=200ms",
-		"diurnal:peak=10/s,trough=0/s,period=2s",
-		"trace:arrivals.jsonl",
-	} {
-		sp, err := ParseArrivalSpec(s)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
-		}
-		if got := sp.String(); got != s {
-			t.Errorf("canonical form of %q is %q", s, got)
-		}
-		sp2, err := ParseArrivalSpec(sp.String())
-		if err != nil || !reflect.DeepEqual(sp, sp2) {
-			t.Errorf("round trip of %q changed the spec: %+v != %+v (%v)", s, sp, sp2, err)
-		}
-	}
-}
-
-func TestParseArrivalSpecDefaults(t *testing.T) {
-	sp, err := ParseArrivalSpec("mmpp:hi=1000/s,lo=100/s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.On != 4*msec || sp.Off != 12*msec {
-		t.Errorf("mmpp dwell defaults: on=%v off=%v", sp.On, sp.Off)
-	}
-}
-
-func TestParseArrivalSpecRejects(t *testing.T) {
-	for _, s := range []string{
-		"",
-		"poisson",
-		"poisson:rate=10",           // missing /s
-		"poisson:rate=-1/s",         // negative
-		"poisson:rate=0/s",          // zero main rate
-		"poisson:rate=NaN/s",        // NaN
-		"poisson:rate=+Inf/s",       // Inf
-		"poisson:rate=2e9/s",        // above maxRate
-		"poisson:rate=1e-9/s",       // below minRate
-		"poisson:rate=1/s,rate=2/s", // duplicate key
-		"poisson:burst=1/s",         // unknown key
-		"mmpp:hi=100/s",             // missing lo
-		"mmpp:hi=10/s,lo=100/s",     // lo > hi
-		"mmpp:hi=1/s,lo=0/s,on=0ms", // non-positive dwell
-		"diurnal:peak=10/s,trough=20/s,period=1s", // trough > peak
-		"diurnal:peak=10/s,trough=1/s",            // missing period
-		"diurnal:peak=10/s,trough=1/s,period=2h",  // bad unit
-		"trace:",                                  // missing path
-		"trace:a,b",                               // path with comma
-		"uniform:rate=1/s",                        // unknown kind
-	} {
-		if _, err := ParseArrivalSpec(s); err == nil {
-			t.Errorf("Parse(%q) accepted", s)
-		}
-	}
-}
-
-func TestArrivalMeanRate(t *testing.T) {
-	cases := []struct {
-		spec string
-		want float64
-	}{
-		{"poisson:rate=1000/s", 1000},
-		// (4ms*2500 + 12ms*500) / 16ms = 1000
-		{"mmpp:hi=2500/s,lo=500/s,on=4ms,off=12ms", 1000},
-		{"diurnal:peak=1500/s,trough=500/s,period=100ms", 1000},
-	}
-	for _, c := range cases {
-		sp, err := ParseArrivalSpec(c.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sp.MeanRate(); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("%s: MeanRate = %g, want %g", c.spec, got, c.want)
-		}
-	}
-}
-
 // measureRate drives a source for n arrivals and returns the empirical
 // rate in requests per second.
 func measureRate(t *testing.T, src ArrivalSource, n int) float64 {
@@ -114,23 +30,20 @@ func measureRate(t *testing.T, src ArrivalSource, n int) float64 {
 }
 
 func TestSourcesMatchMeanRate(t *testing.T) {
-	for _, spec := range []string{
-		"poisson:rate=50000/s",
-		"mmpp:hi=125000/s,lo=25000/s,on=4ms,off=12ms", // mean 50000/s
-		"diurnal:peak=90000/s,trough=10000/s,period=50ms",
+	// Every process averages 50000/s: the MMPP's (125000×4ms +
+	// 25000×12ms)/16ms, the diurnal curve's (peak+trough)/2.
+	const want = 50000.0
+	for _, sp := range []ArrivalSpec{
+		{Kind: ArrPoisson, Rate: 50000},
+		{Kind: ArrMMPP, Hi: 125000, Lo: 25000, On: 4 * msec, Off: 12 * msec},
+		{Kind: ArrDiurnal, Peak: 90000, Trough: 10000, Period: 50 * msec},
 	} {
-		sp, err := ParseArrivalSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		src, err := sp.Source()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := measureRate(t, src, 50000)
-		want := sp.MeanRate()
-		if math.Abs(got-want)/want > 0.1 {
-			t.Errorf("%s: empirical rate %.0f/s, want %.0f/s ±10%%", spec, got, want)
+		if got := measureRate(t, src, 50000); math.Abs(got-want)/want > 0.1 {
+			t.Errorf("%+v: empirical rate %.0f/s, want %.0f/s ±10%%", sp, got, want)
 		}
 	}
 }
@@ -138,8 +51,7 @@ func TestSourcesMatchMeanRate(t *testing.T) {
 func TestMMPPBurstiness(t *testing.T) {
 	// An on/off process at the same mean as a Poisson process must show a
 	// higher coefficient of variation of interarrival gaps.
-	cv := func(spec string) float64 {
-		sp, _ := ParseArrivalSpec(spec)
+	cv := func(sp ArrivalSpec) float64 {
 		src, err := sp.Source()
 		if err != nil {
 			t.Fatal(err)
@@ -156,8 +68,8 @@ func TestMMPPBurstiness(t *testing.T) {
 		mean := sum / n
 		return math.Sqrt(sumSq/n-mean*mean) / mean
 	}
-	pois := cv("poisson:rate=50000/s")
-	mmpp := cv("mmpp:hi=250000/s,lo=5000/s,on=2ms,off=8ms")
+	pois := cv(ArrivalSpec{Kind: ArrPoisson, Rate: 50000})
+	mmpp := cv(ArrivalSpec{Kind: ArrMMPP, Hi: 250000, Lo: 5000, On: 2 * msec, Off: 8 * msec})
 	if mmpp <= pois*1.2 {
 		t.Errorf("MMPP cv %.2f not clearly burstier than Poisson cv %.2f", mmpp, pois)
 	}
@@ -178,13 +90,14 @@ func TestTraceRoundTripAndReplay(t *testing.T) {
 	if strings.Contains(wire, " ") || !strings.HasSuffix(wire, "\n") {
 		t.Errorf("trace wire form not compact JSONL: %q", wire)
 	}
-	sp := &ArrivalSpec{Path: "t.jsonl"}
-	if err := sp.LoadTrace(strings.NewReader(wire)); err != nil {
+	loaded, err := LoadTrace(strings.NewReader(wire))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sp.Trace, entries) {
-		t.Fatalf("trace round trip changed entries: %+v", sp.Trace)
+	if !reflect.DeepEqual(loaded, entries) {
+		t.Fatalf("trace round trip changed entries: %+v", loaded)
 	}
+	sp := ArrivalSpec{Kind: ArrTrace, Trace: loaded}
 	src, err := sp.Source()
 	if err != nil {
 		t.Fatal(err)
@@ -210,20 +123,10 @@ func TestLoadTraceRejectsBadInput(t *testing.T) {
 		"not json":   "{\"t_ns\": }\n",
 		"regressing": "{\"t_ns\":100}\n{\"t_ns\":50}\n",
 		"negative":   "{\"t_ns\":-1}\n",
+		"empty":      "\n",
 	} {
-		sp := &ArrivalSpec{}
-		if err := sp.LoadTrace(strings.NewReader(wire)); err == nil {
+		if _, err := LoadTrace(strings.NewReader(wire)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestUnloadedTraceSourceFails(t *testing.T) {
-	sp, err := ParseArrivalSpec("trace:missing.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sp.Source(); err == nil {
-		t.Error("Source succeeded without loaded entries")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -688,72 +687,36 @@ func (ol *openLoop) fanProbe() string {
 
 // ---- Registered fan-out workloads -----------------------------------
 
-// fanoutProfile is the serving shape of the fan-out presets: a
+// fanoutPool is the serving shape of the fan-out presets: a
 // single-class open-loop pool whose every admitted request fans out
-// per the spec, with heavy-tailed subtask service so stragglers exist
-// to hedge against.
-type fanoutProfile struct {
-	handlers   int
-	requests   int // base arrivals at paper scale
-	queueDepth int
-	factor     float64 // offered load as a multiple of nominal capacity
-	fan        FanoutSpec
-	hedge      HedgeSpec
-	service    sim.Duration // mean subtask service time
-	cv         float64
-	slo        sim.Duration
-	timeout    sim.Duration // parent deadline, split across stages
-	retries    int
-	backoff    sim.Duration
-}
-
-// capacityRate returns the pool's nominal throughput in parent requests
-// per second: handlers / (stages × width × mean subtask service).
-func (p fanoutProfile) capacityRate() float64 {
-	per := float64(p.fan.Stages) * float64(p.fan.Width) * float64(p.service)
-	return float64(p.handlers) / per * float64(sim.Second)
-}
-
-func (p fanoutProfile) install(m *cpu.Machine, scale float64) {
-	reqs := scaleCount(p.requests, scale, 50)
-	sp := &ArrivalSpec{Kind: ArrPoisson, Rate: p.factor * p.capacityRate()}
-	src, err := sp.Source()
-	if err != nil {
-		panic(fmt.Sprintf("workload: fanout arrival spec: %v", err))
-	}
-	// Admission caps the subtask backlog: the queue holds subtask
-	// attempts, so the limit is expressed in handler multiples.
-	adm, err := ParseAdmission(fmt.Sprintf("cap:%d", 6*p.handlers))
-	if err != nil {
-		panic(fmt.Sprintf("workload: fanout admission spec: %v", err))
-	}
-	fan := p.fan // copy: install must not mutate the registered template
-	installOpenLoopPool(m, openLoopCfg{
-		handlers:   p.handlers,
-		total:      reqs,
-		queueDepth: p.queueDepth,
-		src:        src,
-		adm:        adm,
-		timeout:    p.timeout,
-		maxRetries: p.retries,
-		backoff:    p.backoff,
+// per fan, with heavy-tailed subtask service (cv 1.5) so one cold or
+// unlucky subtask plausibly straggles an entire stage. Arrivals are
+// Poisson at factor × the pool's nominal parent-request capacity,
+// handlers / (stages × width × mean subtask service); admission caps
+// the subtask backlog, in handler multiples since the queue holds
+// subtask attempts. The parent deadline is split across the stages.
+func fanoutPool(fan FanoutSpec, hedge HedgeSpec, factor float64) openLoopProfile {
+	p := openLoopProfile{
+		handlers:   64,
+		requests:   20000,
+		queueDepth: 8192,
+		timeout:    20 * msec,
+		retries:    1,
+		backoff:    2 * msec,
+		mix:        []overloadClass{{name: "fan", prio: 0, share: 1, service: 250 * sim.Microsecond, cv: 1.5, slo: 8 * msec}},
 		fan:        &fan,
-		hedge:      p.hedge,
-		classes: []reqClass{{
-			name: "fan", prio: 0, share: 1,
-			svc: jitterCycles(m, p.service, p.cv),
-			slo: p.slo,
-			acc: &sloAccum{class: "fan", slo: p.slo},
-		}},
-		endToEnd: true,
-	})
+		hedge:      hedge,
+		endToEnd:   true,
+	}
+	per := float64(fan.Stages) * float64(fan.Width) * float64(p.mix[0].service)
+	p.arrival = ArrivalSpec{Kind: ArrPoisson, Rate: factor * (float64(p.handlers) / per * float64(sim.Second))}
+	p.admission = fmt.Sprintf("cap:%d", 6*p.handlers)
+	return p
 }
 
 // referenceFanout is the preset the fanout/* workloads share; width,
-// offered-load factor and hedge policy vary across the grid. Subtask
-// service is heavy-tailed (cv 1.5) so one cold or unlucky subtask
-// plausibly straggles an entire stage.
-func referenceFanout(width int, factor float64, hedge string) fanoutProfile {
+// offered-load factor and hedge policy vary across the grid.
+func referenceFanout(width int, factor float64, hedge string) openLoopProfile {
 	hs := HedgeSpec{Kind: HedgeNone}
 	if hedge != "none" {
 		parsed, err := ParseHedgeSpec("hedge:after=" + hedge + ",max=1")
@@ -762,20 +725,7 @@ func referenceFanout(width int, factor float64, hedge string) fanoutProfile {
 		}
 		hs = *parsed
 	}
-	return fanoutProfile{
-		handlers:   64,
-		requests:   20000,
-		queueDepth: 8192,
-		factor:     factor,
-		fan:        FanoutSpec{Width: width, Stages: 2},
-		hedge:      hs,
-		service:    250 * sim.Microsecond,
-		cv:         1.5,
-		slo:        8 * msec,
-		timeout:    20 * msec,
-		retries:    1,
-		backoff:    2 * msec,
-	}
+	return fanoutPool(FanoutSpec{Width: width, Stages: 2}, hs, factor)
 }
 
 // FanoutWidths, FanoutHedges and FanoutFactors enumerate the registered
@@ -797,21 +747,18 @@ func init() {
 	for _, w := range FanoutWidths {
 		for _, f := range FanoutFactors {
 			for _, hg := range FanoutHedges {
-				prof := referenceFanout(w, f, hg)
 				register(&Workload{
 					Name:         FanoutMixName(w, f, hg),
 					Suite:        "fanout",
 					PaperSeconds: 1,
-					Install:      prof.install,
+					Install:      referenceFanout(w, f, hg).install,
 				})
 			}
 		}
 	}
 	// A quorum variant: 12-of-16 with fixed-delay hedges, the classic
 	// "good enough" aggregation that tolerates slow shards outright.
-	quorum := referenceFanout(16, 0.9, "none")
-	quorum.fan.Quorum = 12
-	quorum.hedge = HedgeSpec{Kind: HedgeFixed, After: msec, Max: 2}
+	quorum := fanoutPool(FanoutSpec{Width: 16, Stages: 2, Quorum: 12}, HedgeSpec{Kind: HedgeFixed, After: msec, Max: 2}, 0.9)
 	register(&Workload{
 		Name:         "fanout/quorum",
 		Suite:        "fanout",
@@ -822,7 +769,8 @@ func init() {
 
 // RegisterFanoutWorkload registers a custom fan-out serving workload
 // (cmd/nestsim -fanout/-hedge) on the reference pool at the given
-// offered-load factor.
+// offered-load factor. A load whose arrival rate falls outside the
+// arrival processes' range is rejected here, not in the first cell.
 func RegisterFanoutWorkload(name, fanSpec, hedgeSpec string, factor float64) error {
 	fan, err := ParseFanoutSpec(fanSpec)
 	if err != nil {
@@ -834,19 +782,5 @@ func RegisterFanoutWorkload(name, fanSpec, hedgeSpec string, factor float64) err
 			return err
 		}
 	}
-	if factor <= 0 {
-		return fmt.Errorf("workload: fanout load factor %g must be positive", factor)
-	}
-	if _, err := ByName(name); err == nil {
-		return fmt.Errorf("workload: %q already registered", name)
-	}
-	prof := referenceFanout(fan.Width, factor, "none")
-	prof.fan, prof.hedge = *fan, *hs
-	register(&Workload{
-		Name:         name,
-		Suite:        "fanout",
-		PaperSeconds: 1,
-		Install:      prof.install,
-	})
-	return nil
+	return registerOpenLoop(name, "fanout", fanoutPool(*fan, *hs, factor))
 }

@@ -99,38 +99,11 @@ func TestParseHedgeSpecErrors(t *testing.T) {
 }
 
 // installFanout installs prof with an explicit base-arrival budget and
-// returns the live pool for white-box inspection.
-func installFanout(t *testing.T, m *cpu.Machine, prof fanoutProfile, total int) *openLoop {
-	t.Helper()
-	sp := &ArrivalSpec{Kind: ArrPoisson, Rate: prof.factor * prof.capacityRate()}
-	src, err := sp.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm, err := ParseAdmission("none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fan := prof.fan
-	return installOpenLoopPool(m, openLoopCfg{
-		handlers:   prof.handlers,
-		total:      total,
-		queueDepth: prof.queueDepth,
-		src:        src,
-		adm:        adm,
-		timeout:    prof.timeout,
-		maxRetries: prof.retries,
-		backoff:    prof.backoff,
-		fan:        &fan,
-		hedge:      prof.hedge,
-		classes: []reqClass{{
-			name: "fan", prio: 0, share: 1,
-			svc: jitterCycles(m, prof.service, prof.cv),
-			slo: prof.slo,
-			acc: &sloAccum{class: "fan", slo: prof.slo},
-		}},
-		endToEnd: true,
-	})
+// no admission control, and returns the live pool for white-box
+// inspection.
+func installFanout(m *cpu.Machine, prof openLoopProfile, total int) *openLoop {
+	prof.admission = "none"
+	return installOpenLoopPool(m, prof, total)
 }
 
 // TestFanoutConservation holds the lifecycle to its invariant one level
@@ -139,7 +112,7 @@ func installFanout(t *testing.T, m *cpu.Machine, prof fanoutProfile, total int) 
 // done/cancelled/timed-out/shed, with nothing outstanding at the end,
 // and the parent-level attempt accounting conserved above it.
 func TestFanoutConservation(t *testing.T) {
-	profiles := map[string]fanoutProfile{
+	profiles := map[string]openLoopProfile{
 		"all-light":    referenceFanout(8, 0.7, "none"),
 		"all-hedged":   referenceFanout(16, 0.7, "p95"),
 		"overload":     referenceFanout(16, 1.4, "p95"),
@@ -155,7 +128,7 @@ func TestFanoutConservation(t *testing.T) {
 			Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 			Policy: cfs.Default(), Seed: 11,
 		})
-		ol := installFanout(t, m, prof, 1200)
+		ol := installFanout(m, prof, 1200)
 		res := m.Run(0)
 		if res.Custom["truncated"] != 0 {
 			t.Fatalf("%s: run truncated", name)
@@ -191,10 +164,10 @@ func TestHedgeTimerHoldsFanReq(t *testing.T) {
 		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 		Policy: cfs.Default(), Seed: 1,
 	})
-	ol := &openLoop{m: m, cfg: openLoopCfg{
+	ol := &openLoop{m: m, cfg: openLoopCfg{openLoopProfile: openLoopProfile{
 		fan:   &FanoutSpec{Width: 2, Stages: 1},
 		hedge: HedgeSpec{Kind: HedgeFixed, After: msec, Max: 1},
-	}}
+	}}}
 	rq := &request{ol: ol}
 	fr := ol.newFanReq(rq)
 	ol.armHedge(fr, 0)
@@ -225,7 +198,7 @@ func TestFanoutQuorumCancelsStragglers(t *testing.T) {
 		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 		Policy: cfs.Default(), Seed: 3,
 	})
-	ol := installFanout(t, m, prof, 600)
+	ol := installFanout(m, prof, 600)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
@@ -247,7 +220,7 @@ func TestFanoutDeadlinePropagates(t *testing.T) {
 		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 		Policy: cfs.Default(), Seed: 5,
 	})
-	ol := installFanout(t, m, prof, 1500)
+	ol := installFanout(m, prof, 1500)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
@@ -341,7 +314,7 @@ func TestFanoutNoDeadlineNoTimeouts(t *testing.T) {
 		Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{},
 		Policy: cfs.Default(), Seed: 9,
 	})
-	ol := installFanout(t, m, prof, 400)
+	ol := installFanout(m, prof, 400)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}

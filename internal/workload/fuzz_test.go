@@ -5,65 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzParseArrivalSpec checks the arrival-DSL parser never panics and
+// FuzzParseFanoutSpec checks the fan-out DSL parser never panics and
 // that every accepted spec survives a canonicalisation round trip:
-// String() must re-parse to the identical spec and be a fixpoint, and
-// Validate must accept whatever the parser let through (no NaN,
-// negative or out-of-range rates sneak in).
-func FuzzParseArrivalSpec(f *testing.F) {
-	seeds := []string{
-		"",
-		"poisson:rate=2500/s",
-		"poisson:rate=0.001/s",
-		"poisson:rate=1e9/s",
-		"mmpp:hi=100000/s,lo=2000/s,on=4ms,off=12ms",
-		"mmpp:hi=5000/s,lo=0/s",
-		"mmpp:hi=1/s,lo=1/s,on=1ns,off=999999999s",
-		"diurnal:peak=80000/s,trough=1000/s,period=200ms",
-		"diurnal:peak=10/s,trough=0/s,period=2s",
-		"trace:arrivals.jsonl",
-		"poisson:rate=NaN/s",
-		"poisson:rate=-5/s",
-		"poisson:rate=1e308/s",
-		"mmpp:hi=10/s,lo=100/s",
-		"mmpp:hi=10/s,lo=1/s,on=0.0000001ns",
-		"diurnal:peak=1/s,trough=2/s,period=1s",
-		"poisson:rate=1/s,rate=2/s",
-		"trace:",
-		"nope:rate=1/s",
-		"poisson:",
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		sp, err := ParseArrivalSpec(s)
-		if err != nil {
-			return // rejected input: only the absence of a panic matters
-		}
-		if err := sp.Validate(); err != nil {
-			t.Fatalf("parsed spec %q fails its own validation: %v", s, err)
-		}
-		canon := sp.String()
-		sp2, err := ParseArrivalSpec(canon)
-		if err != nil {
-			t.Fatalf("canonical %q of %q fails to re-parse: %v", canon, s, err)
-		}
-		if !reflect.DeepEqual(sp, sp2) {
-			t.Fatalf("round trip of %q changed the spec: %+v != %+v", s, sp, sp2)
-		}
-		if again := sp2.String(); again != canon {
-			t.Fatalf("canonical form not a fixpoint: %q -> %q", canon, again)
-		}
-		if r := sp.MeanRate(); r != r || r < 0 {
-			t.Fatalf("spec %q has invalid mean rate %g", s, r)
-		}
-	})
-}
-
-// FuzzParseFanoutSpec holds the fan-out DSL to the same contract as the
-// arrival DSL: no panics, accepted specs validate, and the canonical
-// form is a re-parsable fixpoint.
+// accepted specs validate, and String() re-parses to the identical spec
+// and is a fixpoint.
 func FuzzParseFanoutSpec(f *testing.F) {
 	seeds := []string{
 		"",

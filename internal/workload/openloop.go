@@ -10,15 +10,27 @@ import (
 	"repro/internal/sim"
 )
 
-// reqClass is one request class served by an open-loop pool. Priority 0
-// is the highest (shed last); service cycles are drawn per request from
-// the handler's seeded RNG.
+// overloadClass declares one request class of an open-loop preset.
+// Priority 0 is the highest (shed last); share is the class's fraction
+// of untagged arrivals; service and cv shape the lognormal service
+// time; slo is the per-request latency target.
+type overloadClass struct {
+	name    string
+	prio    int
+	share   float64
+	service sim.Duration
+	cv      float64
+	slo     sim.Duration
+}
+
+// reqClass is one request class of a running pool: service cycles are
+// drawn per request from the handler's seeded RNG, and latencies feed
+// the class's SLO accumulator.
 type reqClass struct {
 	name  string
 	prio  int
 	share float64
 	svc   func(*sim.Rand) int64
-	slo   sim.Duration
 	acc   *sloAccum
 }
 
@@ -127,17 +139,22 @@ var outName = [...]string{
 	outShedFanout:    "shed_fanout",
 }
 
-// openLoopCfg parameterises an open-loop serving pool.
-type openLoopCfg struct {
+// openLoopProfile declares an open-loop serving preset: every
+// overload/*, fanout/* and trace/* workload and the open-loop server/*
+// tests. A preset states its pool, class list, arrival process and
+// admission spec; installOpenLoopPool builds the stateful parts (source,
+// admission policy, per-class samplers and accumulators) fresh for
+// every run.
+type openLoopProfile struct {
 	handlers   int
-	total      int // base arrivals to generate (traces may end earlier)
+	requests   int // base arrivals at paper scale (a trace's own length replaces it)
 	queueDepth int
-	src        ArrivalSource
-	adm        admission
 	timeout    sim.Duration // per-attempt deadline; 0 = none
-	maxRetries int
+	retries    int
 	backoff    sim.Duration // retry backoff base (doubles per attempt)
-	classes    []reqClass
+	mix        []overloadClass
+	arrival    ArrivalSpec
+	admission  string // admission DSL (ParseAdmission)
 	// fan enables the fan-out request lifecycle (fanout.go): admitted
 	// parents spawn fan.Width subtask attempts per stage instead of
 	// entering the queue themselves; hedge is the duplicate-issue
@@ -148,6 +165,44 @@ type openLoopCfg struct {
 	// service (the overload suite) or service only (the classic §5.6
 	// server profiles, preserving their semantics).
 	endToEnd bool
+}
+
+// install is the Workload.Install of every open-loop preset. The base
+// arrival budget is the scaled request count; a trace's is its scaled
+// length, which may fall below the presets' 50-request floor.
+func (p openLoopProfile) install(m *cpu.Machine, scale float64) {
+	total := scaleCount(p.requests, scale, 50)
+	if p.arrival.Kind == ArrTrace {
+		total = scaleCount(len(p.arrival.Trace), scale, 1)
+	}
+	installOpenLoopPool(m, p, total)
+}
+
+// registerOpenLoop registers an open-loop workload built from outside
+// input. It builds the source and admission policy once first, so bad
+// input fails here rather than inside the first cell.
+func registerOpenLoop(name, suite string, p openLoopProfile) error {
+	if _, err := p.arrival.Source(); err != nil {
+		return fmt.Errorf("workload: %s %q: %w", suite, name, err)
+	}
+	if _, err := ParseAdmission(p.admission); err != nil {
+		return fmt.Errorf("workload: %s %q admission: %w", suite, name, err)
+	}
+	if _, err := ByName(name); err == nil {
+		return fmt.Errorf("workload: %q already registered", name)
+	}
+	register(&Workload{Name: name, Suite: suite, PaperSeconds: 1, Install: p.install})
+	return nil
+}
+
+// openLoopCfg is one run's pool: the profile plus the state built for
+// that run alone.
+type openLoopCfg struct {
+	openLoopProfile
+	total   int // base arrivals to generate (traces may end earlier)
+	src     ArrivalSource
+	adm     admission
+	classes []reqClass
 }
 
 // perClass is the per-class attempt accounting.
@@ -208,10 +263,31 @@ type openLoop struct {
 	fanStages                        int64
 }
 
-// installOpenLoopPool wires the pool into the machine: handlers under a
-// "server-main" root, the arrival pump on the engine, SLO accounting
-// and overload customs published when the root exits.
-func installOpenLoopPool(m *cpu.Machine, cfg openLoopCfg) *openLoop {
+// installOpenLoopPool wires p's pool into the machine with a budget of
+// total base arrivals: handlers under a "server-main" root, the arrival
+// pump on the engine, SLO accounting and overload customs published
+// when the root exits. The source and admission policy carry state, so
+// every run builds its own; both were checked when the preset was
+// registered.
+func installOpenLoopPool(m *cpu.Machine, p openLoopProfile, total int) *openLoop {
+	src, err := p.arrival.Source()
+	if err != nil {
+		panic(fmt.Sprintf("workload: open-loop arrival: %v", err))
+	}
+	adm, err := ParseAdmission(p.admission)
+	if err != nil {
+		panic(fmt.Sprintf("workload: open-loop admission: %v", err))
+	}
+	classes := make([]reqClass, len(p.mix))
+	for i, cl := range p.mix {
+		classes[i] = reqClass{
+			name: cl.name, prio: cl.prio, share: cl.share,
+			svc: jitterCycles(m, cl.service, cl.cv),
+			// Multi-class pools publish merged customs (finishOn).
+			acc: &sloAccum{class: cl.name, slo: cl.slo, quiet: len(p.mix) > 1},
+		}
+	}
+	cfg := openLoopCfg{openLoopProfile: p, total: total, src: src, adm: adm, classes: classes}
 	ol := &openLoop{
 		cfg:     cfg,
 		m:       m,
@@ -462,7 +538,7 @@ func (ol *openLoop) settle(rq *request, outcome int, sojourn sim.Duration) {
 			Policy: ol.cfg.adm.name(), Attempt: rq.attempt, Sojourn: sojourn,
 		})
 	}
-	if outcome != outCompleted && ol.cfg.maxRetries > 0 && rq.attempt < ol.cfg.maxRetries {
+	if outcome != outCompleted && ol.cfg.retries > 0 && rq.attempt < ol.cfg.retries {
 		ol.retries++
 		st.retries++
 		// Exponential backoff with full jitter: mean base<<attempt,

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestCodelBeatsNoAdmission(t *testing.T) {
 func TestPriorityShedding(t *testing.T) {
 	m := cpu.New(cpu.Config{Spec: machine.IntelXeon6130(2), Gov: governor.Schedutil{}, Policy: cfs.Default(), Seed: 7})
 	prof := referenceOverload(2.0, "cap")
-	ol := installProfile(t, m, prof, 3000)
+	ol := installOpenLoopPool(m, prof, 3000)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
@@ -86,41 +87,6 @@ func TestPriorityShedding(t *testing.T) {
 		t.Errorf("shed fractions not graded by priority: web %.3f, kv %.3f, script %.3f",
 			frac[0], frac[1], frac[2])
 	}
-}
-
-// installProfile installs prof with an explicit base-arrival budget and
-// returns the live pool for white-box inspection.
-func installProfile(t *testing.T, m *cpu.Machine, prof overloadProfile, total int) *openLoop {
-	t.Helper()
-	src, err := prof.arrivalSpec().Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm, err := ParseAdmission(prof.admissionSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := make([]reqClass, len(prof.classes))
-	for i, cl := range prof.classes {
-		classes[i] = reqClass{
-			name: cl.name, prio: cl.prio, share: cl.share,
-			svc: jitterCycles(m, cl.service, cl.cv),
-			slo: cl.slo,
-			acc: &sloAccum{class: cl.name, slo: cl.slo, quiet: true},
-		}
-	}
-	return installOpenLoopPool(m, openLoopCfg{
-		handlers:   prof.handlers,
-		total:      total,
-		queueDepth: prof.queueDepth,
-		src:        src,
-		adm:        adm,
-		timeout:    prof.timeout,
-		maxRetries: prof.retries,
-		backoff:    prof.backoff,
-		classes:    classes,
-		endToEnd:   true,
-	})
 }
 
 // TestOverloadReplayByteIdentical reruns the bursty retrying cell with
@@ -167,7 +133,7 @@ func TestOverloadSchedulersShareArrivals(t *testing.T) {
 	}
 }
 
-// TestQueueDepthShedsWhenFull bounds the queue: a tiny QueueDepth on a
+// TestQueueDepthShedsWhenFull bounds the queue: a tiny queue depth on a
 // saturating profile must shed at the full queue and record the high
 // watermark at the bound.
 func TestQueueDepthShedsWhenFull(t *testing.T) {
@@ -175,7 +141,7 @@ func TestQueueDepthShedsWhenFull(t *testing.T) {
 	prof := referenceOverload(2.0, "none")
 	prof.queueDepth = 32
 	prof.retries = 0
-	ol := installProfile(t, m, prof, 2000)
+	ol := installOpenLoopPool(m, prof, 2000)
 	if res := m.Run(0); res.Custom["truncated"] != 0 {
 		t.Fatal("run truncated")
 	}
@@ -208,9 +174,9 @@ func TestRegisterTraceWorkload(t *testing.T) {
 	}
 }
 
-// TestRegisterTraceWorkloadRejects: an empty trace and a bad admission
-// spec are registration errors, not panics inside the first cell, and
-// neither leaves a workload behind.
+// TestRegisterTraceWorkloadRejects: an empty trace, a regressing one and
+// a bad admission spec are registration errors, not panics inside the
+// first cell, and none leaves a workload behind.
 func TestRegisterTraceWorkloadRejects(t *testing.T) {
 	one := []TraceEntry{{T: 0}, {T: 1_000_000}}
 	for _, tc := range []struct {
@@ -219,9 +185,37 @@ func TestRegisterTraceWorkloadRejects(t *testing.T) {
 		want         string
 	}{
 		{"trace/test-empty", "codel", nil, "no arrivals"},
+		{"trace/test-regress", "codel", []TraceEntry{{T: 5}, {T: 1}}, "non-decreasing"},
 		{"trace/test-bogus", "codel:bogus=1", one, `unknown parameter "bogus"`},
 	} {
 		err := RegisterTraceWorkload(tc.name, tc.entries, tc.policy)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if _, err := ByName(tc.name); err == nil {
+			t.Errorf("%s: registered despite the error", tc.name)
+		}
+	}
+}
+
+// TestRegisterFanoutWorkloadRejects: a load factor whose arrival rate
+// leaves the arrival processes' range, and a malformed fan-out or hedge
+// spec, are registration errors, not panics inside the first cell, and
+// none leaves a workload behind.
+func TestRegisterFanoutWorkloadRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name, fan, hedge string
+		load             float64
+		want             string
+	}{
+		{"fanout/test-nan", "fanout:width=4,stages=1", "", math.NaN(), "out of range"},
+		{"fanout/test-inf", "fanout:width=4,stages=1", "", math.Inf(1), "out of range"},
+		{"fanout/test-huge", "fanout:width=4,stages=1", "", 1e12, "out of range"},
+		{"fanout/test-zero", "fanout:width=4,stages=1", "", 0, "out of range"},
+		{"fanout/test-spec", "fanout:width=0", "", 0.9, "width"},
+		{"fanout/test-hedge", "fanout:width=4", "hedge:after=p100", 0.9, "percentile"},
+	} {
+		err := RegisterFanoutWorkload(tc.name, tc.fan, tc.hedge, tc.load)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}

@@ -31,13 +31,6 @@ type serverProfile struct {
 	// capacity instead of client-driven closed loops.
 	OpenLoop      bool
 	ArrivalFactor float64
-	// Arrival optionally overrides the derived Poisson arrival process
-	// with an explicit spec (see ParseArrivalSpec); it only applies to
-	// open-loop profiles. QueueDepth bounds the request queue (default
-	// 100_000 — effectively unbounded at paper request counts; arrivals
-	// that find it full are shed and counted).
-	Arrival    string
-	QueueDepth int
 	// Class labels the request class for SLO accounting ("web", "kv",
 	// "script"); SLO is the per-request service-latency target. Requests
 	// completing within SLO count toward the run's attainment customs
@@ -47,14 +40,13 @@ type serverProfile struct {
 }
 
 func (p serverProfile) install(m *cpu.Machine, scale float64) {
+	if p.OpenLoop {
+		p.openLoop().install(m, scale)
+		return
+	}
 	reqs := scaleCount(p.Requests, scale, 50)
 	svc := jitterCycles(m, p.Service, p.CV)
 	acc := &sloAccum{class: p.class(), slo: p.SLO}
-
-	if p.OpenLoop {
-		p.installOpenLoop(m, reqs, svc, acc)
-		return
-	}
 
 	// Closed loop: each handler serves its share back to back. The share
 	// division leaves a remainder of reqs%Handlers requests; the first
@@ -120,60 +112,25 @@ func (p serverProfile) class() string {
 	return p.Class
 }
 
-// defaultQueueDepth preserves the historic request-queue bound:
-// effectively unbounded at paper request counts, so the classic server
-// profiles shed nothing, while saturation is still observable through
-// the queue_hwm custom and the server.queue_full counter.
-const defaultQueueDepth = 100_000
-
-// installOpenLoop builds the queue-fed saturated shape on the shared
-// open-loop pool: an engine-driven arrival source (Poisson at
-// ArrivalFactor × pool capacity unless the profile names an explicit
-// Arrival spec) feeding the bounded request queue. No admission policy,
-// deadlines or retries: the classic profiles serve everything that fits
-// in the queue, exactly as the old feeder loop did, but the offered
-// load can no longer be throttled by the feeders' own scheduling.
-func (p serverProfile) installOpenLoop(m *cpu.Machine, reqs int, svc func(*sim.Rand) int64, acc *sloAccum) {
-	src := p.arrivalSource()
-	depth := p.QueueDepth
-	if depth <= 0 {
-		depth = defaultQueueDepth
-	}
-	installOpenLoopPool(m, openLoopCfg{
-		handlers:   p.Handlers,
-		total:      reqs,
-		queueDepth: depth,
-		src:        src,
-		adm:        admitAll{},
-		classes: []reqClass{{
-			name: p.class(), share: 1, svc: svc, slo: p.SLO, acc: acc,
-		}},
-	})
-}
-
-// arrivalSource derives the profile's arrival process: an explicit
-// Arrival spec when set, else Poisson at ArrivalFactor × the pool's
-// nominal capacity Handlers/(Service+Pause).
-func (p serverProfile) arrivalSource() ArrivalSource {
-	if p.Arrival != "" {
-		sp, err := ParseArrivalSpec(p.Arrival)
-		if err != nil {
-			panic(fmt.Sprintf("workload: bad arrival spec %q: %v", p.Arrival, err))
-		}
-		src, err := sp.Source()
-		if err != nil {
-			panic(fmt.Sprintf("workload: arrival spec %q: %v", p.Arrival, err))
-		}
-		return src
-	}
+// openLoop builds the queue-fed saturated shape on the shared open-loop
+// pool: Poisson arrivals at ArrivalFactor × the pool's nominal capacity
+// Handlers/(Service+Pause) feeding the request queue. No admission
+// policy, deadlines or retries: the classic profiles serve everything
+// that fits in the queue, whose 100_000 bound is effectively unbounded
+// at paper request counts (saturation still shows in the queue_hwm
+// custom and the server.queue_full counter), but the offered load
+// cannot be throttled by the feeders' own scheduling.
+func (p serverProfile) openLoop() openLoopProfile {
 	meanSvc := float64(p.Service + p.Pause)
 	rate := maxf(p.ArrivalFactor, 0.05) * float64(p.Handlers) / meanSvc * float64(sim.Second)
-	sp := &ArrivalSpec{Kind: ArrPoisson, Rate: rate}
-	src, err := sp.Source()
-	if err != nil {
-		panic(fmt.Sprintf("workload: derived arrival rate invalid: %v", err))
+	return openLoopProfile{
+		handlers:   p.Handlers,
+		requests:   p.Requests,
+		queueDepth: 100_000,
+		mix:        []overloadClass{{name: p.class(), share: 1, service: p.Service, cv: p.CV, slo: p.SLO}},
+		arrival:    ArrivalSpec{Kind: ArrPoisson, Rate: rate},
+		admission:  "none",
 	}
-	return src
 }
 
 // serverTests models the §5.6 server results on the 2-socket 6130:
