@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"strings"
@@ -46,6 +47,33 @@ func TestFigureGoldens(t *testing.T) {
 		if got := sha(b.String()); got != figureGoldens[id] {
 			t.Errorf("%s: rendered text sha256 %s, pinned %s", id, got, figureGoldens[id])
 		}
+	}
+}
+
+// TestTraceFigureEvents: a trace figure's runs reach Options.Obs like
+// every measured cell's (one "run" line per traced configuration),
+// and the shared hub leaves the rendered figure unchanged.
+func TestTraceFigureEvents(t *testing.T) {
+	e, err := ByID("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec := obs.NewJSONL(&buf)
+	rep, err := e.Run(Options{Obs: obs.New(rec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), `{"ev":"run",`); n != 2 {
+		t.Errorf("%d run lines in the event stream, want 2", n)
+	}
+	var b strings.Builder
+	rep.Render(&b)
+	if got := sha(b.String()); got != figureGoldens["fig3"] {
+		t.Errorf("fig3 with a shared hub: rendered text sha256 %s, pinned %s", got, figureGoldens["fig3"])
 	}
 }
 

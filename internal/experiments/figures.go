@@ -13,12 +13,18 @@ import (
 )
 
 // traceRun executes one traced run and returns the trace and result.
+// The run's events also reach opt.Obs, when set, as every measured
+// cell's do.
 func traceRun(machineName string, cfg config, wl string, opt Options, window sim.Time) (*obs.Trace, *metrics.Result, error) {
 	tr := obs.NewTrace(0, window)
+	recs := []obs.Recorder{tr}
+	if opt.Obs.Enabled() {
+		recs = append(recs, opt.Obs)
+	}
 	rs := RunSpec{
 		Machine: machineName, Scheduler: cfg.sched, Governor: cfg.gov,
 		Workload: wl, Scale: opt.Scale, Seed: opt.Seed,
-		Obs: obs.New(tr), SampleEvery: sim.Tick,
+		Obs: obs.New(recs...), SampleEvery: sim.Tick,
 	}
 	res, err := Run(rs)
 	if err != nil {

@@ -85,6 +85,10 @@ func New(recs ...Recorder) *Hub {
 	return h
 }
 
+// Record implements Recorder, so one hub can feed another: h counts
+// and records ev exactly as if it had been emitted to h.
+func (h *Hub) Record(ev Event) { h.Emit(ev) }
+
 // Disabled returns a non-nil hub with no sinks. It behaves exactly like
 // a nil hub — Enabled() is false and Emit drops everything — and exists
 // so tests can prove the disabled fast path adds no allocations.
