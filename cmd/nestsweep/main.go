@@ -36,16 +36,26 @@ func main() {
 	)
 	flag.Parse()
 
-	disableFlag := map[string]string{
-		"premove": "nocompact",
-		"smax":    "nospin",
-		"rmax":    "noreserve",
-		// rimpatient has no zero-disable; impatience off.
-		"rimpatient": "noimpatience",
-	}[*param]
-	if disableFlag == "" {
-		fmt.Fprintf(os.Stderr, "nestsweep: unknown parameter %q\n", *param)
-		os.Exit(1)
+	// Every value is checked before the first run: a typo must not cost
+	// the default-Nest baseline's runtime first.
+	type point struct{ label, sched string }
+	var points []point
+	for _, vs := range strings.Split(*values, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(vs))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "nestsweep: bad value %q\n", vs)
+			os.Exit(2)
+		}
+		sched, err := experiments.NestParamScheduler(*param, v)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "nestsweep:", err)
+			os.Exit(2)
+		}
+		label := strconv.Itoa(v)
+		if v == 0 {
+			label = "off"
+		}
+		points = append(points, point{label, sched})
 	}
 
 	measure := func(sched string) (float64, float64, error) {
@@ -69,26 +79,13 @@ func main() {
 		*param, *wl, *machineName, *gov, *runs, baseT, baseE)
 	fmt.Printf("%-12s %10s %10s %10s %10s\n", *param, "runtime", "vs default", "energy", "vs default")
 
-	for _, vs := range strings.Split(*values, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(vs))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nestsweep: bad value %q\n", vs)
-			os.Exit(1)
-		}
-		sched := fmt.Sprintf("nest:%s=%d", *param, v)
-		if v == 0 {
-			sched = "nest:" + disableFlag
-		}
-		tm, en, err := measure(sched)
+	for _, pt := range points {
+		tm, en, err := measure(pt.sched)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nestsweep:", err)
 			os.Exit(1)
 		}
-		label := strconv.Itoa(v)
-		if v == 0 {
-			label = "off"
-		}
 		fmt.Printf("%-12s %9.4fs %+9.1f%% %9.1fJ %+9.1f%%\n",
-			label, tm, 100*metrics.Speedup(baseT, tm), en, 100*metrics.Speedup(baseE, en))
+			pt.label, tm, 100*metrics.Speedup(baseT, tm), en, 100*metrics.Speedup(baseE, en))
 	}
 }

@@ -67,6 +67,34 @@ func TestNestVariantParsing(t *testing.T) {
 	}
 }
 
+func TestNestParamScheduler(t *testing.T) {
+	for _, c := range []struct {
+		param string
+		v     int
+		want  string
+	}{
+		{"smax", 4, "nest:smax=4"},
+		{"smax", 0, "nest:nospin"},
+		{"premove", 0, "nest:nocompact"},
+		{"rmax", 0, "nest:noreserve"},
+		{"rimpatient", 0, "nest:noimpatience"},
+		{"rimpatient", 2, "nest:rimpatient=2"},
+	} {
+		got, err := NestParamScheduler(c.param, c.v)
+		if err != nil || got != c.want {
+			t.Errorf("NestParamScheduler(%q, %d) = %q, %v; want %q", c.param, c.v, got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		param string
+		v     int
+	}{{"bogus", 1}, {"bogus", 0}, {"smax", -1}} {
+		if got, err := NestParamScheduler(c.param, c.v); err == nil {
+			t.Errorf("NestParamScheduler(%q, %d) = %q, want an error", c.param, c.v, got)
+		}
+	}
+}
+
 func TestRunUnknowns(t *testing.T) {
 	if _, err := Run(RunSpec{Machine: "bogus", Scheduler: "cfs", Governor: "schedutil", Workload: "configure/gcc"}); err == nil {
 		t.Fatal("unknown machine accepted")

@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/naive"
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/smove"
@@ -64,6 +65,25 @@ var nestParams = map[string]string{
 	"smax":       "nospin",
 	"rmax":       "noreserve",
 	"rimpatient": "noimpatience",
+}
+
+// NestParamScheduler names the Nest variant that sets one Table 1
+// parameter to v: "nest:<param>=<v>", or for v = 0 the flag that turns
+// the parameter's feature off (the §5.2/§5.3 parameter sweeps). An
+// unknown parameter or a negative value is an error.
+func NestParamScheduler(param string, v int) (string, error) {
+	off, ok := nestParams[param]
+	if !ok {
+		return "", fmt.Errorf("experiments: unknown Nest parameter %q (want %s)", param, strings.Join(ordered.Keys(nestParams), ", "))
+	}
+	if v == 0 {
+		return "nest:" + off, nil
+	}
+	name := fmt.Sprintf("nest:%s=%d", param, v)
+	if _, err := NestVariant(name); err != nil {
+		return "", err
+	}
+	return name, nil
 }
 
 // NestVariant parses "nest:flag[,flag...]" ablation names. Flags:
