@@ -178,15 +178,26 @@ func (p openLoopProfile) install(m *cpu.Machine, scale float64) {
 	installOpenLoopPool(m, p, total)
 }
 
+// build makes the profile's stateful parts: a fresh arrival source and
+// admission policy.
+func (p openLoopProfile) build() (ArrivalSource, admission, error) {
+	src, err := p.arrival.Source()
+	if err != nil {
+		return nil, nil, err
+	}
+	adm, err := ParseAdmission(p.admission)
+	if err != nil {
+		return nil, nil, fmt.Errorf("admission: %w", err)
+	}
+	return src, adm, nil
+}
+
 // registerOpenLoop registers an open-loop workload built from outside
 // input. It builds the source and admission policy once first, so bad
 // input fails here rather than inside the first cell.
 func registerOpenLoop(name, suite string, p openLoopProfile) error {
-	if _, err := p.arrival.Source(); err != nil {
+	if _, _, err := p.build(); err != nil {
 		return fmt.Errorf("workload: %s %q: %w", suite, name, err)
-	}
-	if _, err := ParseAdmission(p.admission); err != nil {
-		return fmt.Errorf("workload: %s %q admission: %w", suite, name, err)
 	}
 	if _, err := ByName(name); err == nil {
 		return fmt.Errorf("workload: %q already registered", name)
@@ -270,13 +281,9 @@ type openLoop struct {
 // every run builds its own; both were checked when the preset was
 // registered.
 func installOpenLoopPool(m *cpu.Machine, p openLoopProfile, total int) *openLoop {
-	src, err := p.arrival.Source()
+	src, adm, err := p.build()
 	if err != nil {
-		panic(fmt.Sprintf("workload: open-loop arrival: %v", err))
-	}
-	adm, err := ParseAdmission(p.admission)
-	if err != nil {
-		panic(fmt.Sprintf("workload: open-loop admission: %v", err))
+		panic(fmt.Sprintf("workload: open-loop pool: %v", err))
 	}
 	classes := make([]reqClass, len(p.mix))
 	for i, cl := range p.mix {
