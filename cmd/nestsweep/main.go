@@ -20,8 +20,17 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/governor"
+	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
+
+// usage reports a bad flag value and exits 2, before any run.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "nestsweep:", err)
+	os.Exit(2)
+}
 
 func main() {
 	var (
@@ -36,20 +45,27 @@ func main() {
 	)
 	flag.Parse()
 
-	// Every value is checked before the first run: a typo must not cost
+	// Every input is checked before the first run: a typo must not cost
 	// the default-Nest baseline's runtime first.
+	if _, err := machine.Preset(*machineName); err != nil {
+		usage(err)
+	}
+	if _, err := workload.ByName(*wl); err != nil {
+		usage(err)
+	}
+	if _, err := governor.ByName(*gov); err != nil {
+		usage(err)
+	}
 	type point struct{ label, sched string }
 	var points []point
 	for _, vs := range strings.Split(*values, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(vs))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nestsweep: bad value %q\n", vs)
-			os.Exit(2)
+			usage(fmt.Errorf("bad value %q", vs))
 		}
 		sched, err := experiments.NestParamScheduler(*param, v)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nestsweep:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		label := strconv.Itoa(v)
 		if v == 0 {

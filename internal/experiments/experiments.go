@@ -64,6 +64,18 @@ func (o Options) workers() int {
 	return o.Parallel // RunGrid maps < 0 to GOMAXPROCS
 }
 
+// cellHub returns a grid cell's own hub: counters for the cell's
+// result and, when opt.Obs is set, opt.Obs as its recorder, so the
+// cell's first run reaches -events like every measured cell's. A set
+// opt.Obs also makes the grid serial (workers), which keeps the shared
+// recorder single-run.
+func cellHub(opt Options) *obs.Hub {
+	if opt.Obs.Enabled() {
+		return obs.New(opt.Obs)
+	}
+	return obs.New()
+}
+
 // pool returns the PoolOptions the experiment's grids should use.
 func (o Options) pool() PoolOptions {
 	return PoolOptions{

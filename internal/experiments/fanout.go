@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -48,7 +47,7 @@ func fanout(opt Options) (*Report, error) {
 							Workload:  workload.FanoutMixName(w, f, h),
 							Scale:     opt.Scale,
 							Seed:      opt.Seed,
-							Obs:       obs.New(),
+							Obs:       cellHub(opt),
 							Check:     invariant.New(),
 						}
 						cellsIn = append(cellsIn, fanCell{width: w, factor: f, hedge: h, cfg: cfg})
@@ -58,9 +57,7 @@ func fanout(opt Options) (*Report, error) {
 			}
 		}
 	}
-	o2 := opt
-	o2.Obs = nil // per-cell hubs above, not the shared one
-	all, err := RunGrid(specs, o2.pool())
+	all, err := RunGrid(specs, opt.pool())
 	if err != nil {
 		var ce *CellError
 		if errors.As(err, &ce) {

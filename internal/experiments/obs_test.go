@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -88,5 +90,47 @@ func TestRunRepeatsFirstRunOnlyObservers(t *testing.T) {
 		if r.Stats != nil {
 			t.Fatalf("repeat %d carries stats; observers should be first-run only", i+1)
 		}
+	}
+}
+
+// TestServingGridEvents: the overload, fan-out and resilience grids give
+// every cell its own hub, and Options.Obs still gets each cell's first
+// run (one "run" line per table row) without changing the report.
+func TestServingGridEvents(t *testing.T) {
+	for _, id := range []string{"overload", "fanout", "resilience"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := Options{Runs: 1, Scale: 0.005}
+			plain, err := e.Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			rec := obs.NewJSONL(&buf)
+			opt.Obs = obs.New(rec)
+			observed, err := e.Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			cells := 0
+			for _, s := range observed.Sections {
+				cells += len(s.Rows)
+			}
+			if n := strings.Count(buf.String(), `{"ev":"run",`); n != cells || n == 0 {
+				t.Errorf("%d run lines in the event stream, want one per cell (%d)", n, cells)
+			}
+			var a, b strings.Builder
+			plain.Render(&a)
+			observed.Render(&b)
+			if a.String() != b.String() {
+				t.Errorf("report changed when Options.Obs was set:\n%s\nvs\n%s", a.String(), b.String())
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -26,8 +25,8 @@ func overload(opt Options) (*Report, error) {
 	opt.fill()
 	rep := &Report{ID: "overload", Title: "Overload control: admission, shedding and graceful degradation under open-loop load"}
 	machines := machinesOrDefault(opt, []string{"6130-2"})
-	// Per-cell hubs and checkers keep the grid parallel-safe, as in the
-	// resilience grid: no observer state is shared across cells.
+	// Per-cell hubs (cellHub) and checkers keep the grid parallel-safe,
+	// as in the resilience grid, unless opt.Obs asks for events.
 	type ovlCell struct {
 		factor float64
 		policy string
@@ -46,7 +45,7 @@ func overload(opt Options) (*Report, error) {
 						Workload:  workload.OverloadMixName(f, pol),
 						Scale:     opt.Scale,
 						Seed:      opt.Seed,
-						Obs:       obs.New(),
+						Obs:       cellHub(opt),
 						Check:     invariant.New(),
 					}
 					cellsIn = append(cellsIn, ovlCell{factor: f, policy: pol, cfg: cfg})
@@ -55,9 +54,7 @@ func overload(opt Options) (*Report, error) {
 			}
 		}
 	}
-	o2 := opt
-	o2.Obs = nil // per-cell hubs above, not the shared one
-	all, err := RunGrid(specs, o2.pool())
+	all, err := RunGrid(specs, opt.pool())
 	if err != nil {
 		var ce *CellError
 		if errors.As(err, &ce) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // resilienceFault names one fault plan of the resilience grid. Times are
@@ -48,10 +47,8 @@ func resilience(opt Options) (*Report, error) {
 	rep := &Report{ID: "resilience", Title: "Graceful degradation under core loss, throttling and load spikes"}
 	wl := "configure/llvm_ninja"
 	machines := machinesOrDefault(opt, []string{"5218"})
-	// Each cell gets its own hub and invariant checker, so the grid stays
-	// parallel-safe: no single-run observer state is shared across cells
-	// (opt.Obs is ignored here and the first-repeat rule applies within
-	// each cell).
+	// Each cell gets its own hub (cellHub) and invariant checker, so the
+	// grid stays parallel-safe unless opt.Obs asks for events.
 	type resCell struct {
 		rf  resilienceFault
 		cfg config
@@ -70,7 +67,7 @@ func resilience(opt Options) (*Report, error) {
 					Scale:     opt.Scale,
 					Seed:      opt.Seed,
 					Faults:    rf.plan,
-					Obs:       obs.New(),
+					Obs:       cellHub(opt),
 					Check:     invariant.New(),
 				}
 				cellsIn = append(cellsIn, resCell{rf: rf, cfg: cfg, rs: rs})
@@ -78,9 +75,7 @@ func resilience(opt Options) (*Report, error) {
 			}
 		}
 	}
-	o2 := opt
-	o2.Obs = nil // per-cell hubs above, not the shared one
-	all, err := RunGrid(specs, o2.pool())
+	all, err := RunGrid(specs, opt.pool())
 	if err != nil {
 		var ce *CellError
 		if errors.As(err, &ce) {
