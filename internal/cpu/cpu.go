@@ -187,10 +187,6 @@ type Machine struct {
 	maskWords  int
 	dirty      []uint64
 
-	// decay is the run's shared PELT decay-factor memo: every core and
-	// task signal draws its factors from it.
-	decay pelt.Memo
-
 	// tickRun is the machine's tick runner; posting &m.tickRun re-arms
 	// the tick without allocating anything per period.
 	tickRun tickRunner
@@ -271,8 +267,7 @@ func New(cfg Config) *Machine {
 	for i := range m.cores {
 		m.cores[i].id = machine.CoreID(i)
 		m.cores[i].lastActive = -sim.Second // long before the run starts
-		m.cores[i].util = m.decay.Signal(pelt.HalfLife)
-		m.cores[i].hwUtil = m.decay.Signal(2 * sim.Millisecond)
+		m.cores[i].hwUtil = pelt.WithHalfLife(2 * sim.Millisecond)
 		// The comp runner's pointer identity is stable: m.cores is sized
 		// once and never reallocated.
 		m.cores[i].comp = completionRunner{m: m, c: machine.CoreID(i)}
@@ -404,7 +399,6 @@ func (m *Machine) newTask(name string, b proc.Behavior, parent *proc.Task) *proc
 		Prev2:    proc.NoCore,
 		Parent:   parent,
 		Created:  m.eng.Now(),
-		Util:     m.decay.Signal(pelt.HalfLife),
 	}
 	// A forked task inherits its parent's utilisation, as the kernel's
 	// post_init_entity_util_avg seeds new tasks from the runqueue: the

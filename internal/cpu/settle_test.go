@@ -7,6 +7,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/invariant"
 	"repro/internal/machine"
+	"repro/internal/pelt"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -209,5 +210,51 @@ func TestActiveBarrierArmsNoCompletion(t *testing.T) {
 		if spin := proc.Cycles(10*sim.Millisecond, spec.Min); tk.CPUTime < own+spin {
 			t.Errorf("party %d: CPU time %d cycles, want at least %d own + %d spin", i, tk.CPUTime, own, spin)
 		}
+	}
+}
+
+// TestRanCoreSettlesWhenIdle: a core that ran a task and then idles
+// joins the settled set once both of its PELT signals have decayed to
+// exactly 0 — within 33 half-lives of the utilisation signal — and not
+// while its utilisation is still visible.
+func TestRanCoreSettlesWhenIdle(t *testing.T) {
+	spec := machine.IntelXeon5218()
+	check := invariant.New()
+	m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: cfs.Default(), Seed: 1, Check: check})
+	m.Spawn("anchor", proc.Script(proc.Sleep{D: 2 * sim.Second}))
+	worker := m.Spawn("worker", computeFor(spec, 40*sim.Millisecond))
+	eng := m.Engine()
+	var exited sim.Time
+	var poll func()
+	poll = func() {
+		if worker.State == proc.StateExited {
+			exited = m.Now()
+			return
+		}
+		eng.After(sim.Millisecond, poll)
+	}
+	eng.After(sim.Millisecond, poll)
+	var core machine.CoreID
+	eng.At(200*sim.Millisecond, func() {
+		if exited == 0 {
+			t.Fatal("worker still running at 200ms")
+		}
+		core = worker.Last
+		if isSettled(m, core) {
+			t.Errorf("core %d settled %v after its task exited, with its load still visible", core, m.Now()-exited)
+		}
+	})
+	eng.At(1500*sim.Millisecond, func() {
+		if idle := m.Now() - exited; idle < 33*pelt.HalfLife+sim.Tick {
+			t.Fatalf("only %v idle; the check needs 33 half-lives", idle)
+		}
+		if !isSettled(m, core) {
+			_, _, load := m.CoreLoad(core)
+			t.Errorf("core %d not settled %v after its task exited (load %g)", core, m.Now()-exited, load)
+		}
+	})
+	m.Run(3 * sim.Second)
+	if n := check.Total(); n != 0 {
+		t.Fatalf("%d invariant violations, first: %v", n, check.Violations()[0])
 	}
 }
