@@ -6,8 +6,9 @@ import (
 )
 
 // logNormalDurOracle derives LogNormalDur's parameters on every draw,
-// straight from their definition. It is the reference the precomputed
-// LogNormal must match bit for bit.
+// straight from their definition, with the package's portable exp and
+// log. It is the reference the precomputed LogNormal must match bit for
+// bit.
 func logNormalDurOracle(r *Rand, mean Duration, cv float64) Duration {
 	if mean <= 0 {
 		return 0
@@ -15,9 +16,9 @@ func logNormalDurOracle(r *Rand, mean Duration, cv float64) Duration {
 	if cv <= 0 {
 		return mean
 	}
-	sigma := math.Sqrt(math.Log(1 + cv*cv))
-	mu := math.Log(float64(mean)) - sigma*sigma/2
-	v := math.Exp(r.Normal(mu, sigma))
+	sigma := math.Sqrt(log(1 + float64(cv*cv)))
+	mu := log(float64(mean)) - float64(float64(sigma*sigma)/2)
+	v := exp(r.Normal(mu, sigma))
 	lo, hi := float64(mean)/10, float64(mean)*10
 	if v < lo {
 		v = lo

@@ -41,9 +41,11 @@ func (r *Rand) Uint64() uint64 {
 	return x + y
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The compiler turns the
+// division into a multiply; the conversion rounds it (exactly: the
+// divisor is a power of two), so no caller fuses it into an add.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -63,14 +65,72 @@ func (r *Rand) Duration(lo, hi Duration) Duration {
 }
 
 // Normal returns a normally distributed value with the given mean and
-// standard deviation (Box-Muller).
+// standard deviation. The product is rounded before the add, so no
+// architecture fuses the two.
 func (r *Rand) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
+	return mean + float64(stddev*r.normFloat64())
+}
+
+// unit returns a uniform value in (0, 1], whose log is finite.
+func (r *Rand) unit() float64 {
+	return 1 - r.Float64()
+}
+
+// normFloat64 returns a standard normal value by Marsaglia and Tsang's
+// ziggurat (ziggurat.go), driven by the top 32 bits of one Uint64 draw;
+// more than 99% of draws return from the first test. The tail and the
+// wedges use the portable exp and log (fmath.go).
+func (r *Rand) normFloat64() float64 {
+	for {
+		j := int32(r.Uint64() >> 32) // possibly negative
+		i := j & 0x7F
+		x := float64(j) * float64(zigWn[i])
+		a := uint32(j)
+		if j < 0 {
+			a = uint32(-j)
+		}
+		if a < zigKn[i] {
+			return x
+		}
+		if i == 0 {
+			// The tail past zigNormalR.
+			for {
+				x = float64(-log(r.unit()) * (1.0 / zigNormalR))
+				y := -log(r.unit())
+				if y+y >= float64(x*x) {
+					break
+				}
+			}
+			if j > 0 {
+				return zigNormalR + x
+			}
+			return -zigNormalR - x
+		}
+		f0, f1 := float64(zigFn[i]), float64(zigFn[i-1])
+		if f0+float64(r.Float64()*(f1-f0)) < exp(-0.5*x*x) {
+			return x
+		}
 	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
+}
+
+// expFloat64 returns an exponential value with mean 1 by the ziggurat,
+// as normFloat64 does.
+func (r *Rand) expFloat64() float64 {
+	for {
+		j := uint32(r.Uint64() >> 32)
+		i := j & 0xFF
+		x := float64(j) * float64(zigWe[i])
+		if j < zigKe[i] {
+			return x
+		}
+		if i == 0 {
+			return zigExpR - log(r.unit())
+		}
+		f0, f1 := float64(zigFe[i]), float64(zigFe[i-1])
+		if f0+float64(r.Float64()*(f1-f0)) < exp(-x) {
+			return x
+		}
+	}
 }
 
 // LogNormalDur returns a log-normally jittered duration around mean with
@@ -100,11 +160,11 @@ func NewLogNormal(mean Duration, cv float64) LogNormal {
 	if cv <= 0 {
 		return LogNormal{mean: mean}
 	}
-	sigma := math.Sqrt(math.Log(1 + cv*cv))
+	sigma := math.Sqrt(log(1 + float64(cv*cv)))
 	return LogNormal{
 		mean:   mean,
 		jitter: true,
-		mu:     math.Log(float64(mean)) - sigma*sigma/2,
+		mu:     log(float64(mean)) - float64(float64(sigma*sigma)/2),
 		sigma:  sigma,
 		lo:     float64(mean) / 10,
 		hi:     float64(mean) * 10,
@@ -117,7 +177,7 @@ func (l LogNormal) Draw(r *Rand) Duration {
 	if !l.jitter {
 		return l.mean
 	}
-	v := math.Exp(r.Normal(l.mu, l.sigma))
+	v := exp(r.Normal(l.mu, l.sigma))
 	if v < l.lo {
 		v = l.lo
 	}
@@ -133,11 +193,7 @@ func (r *Rand) Exp(mean Duration) Duration {
 	if mean <= 0 {
 		return 0
 	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return Duration(-math.Log(u) * float64(mean))
+	return Duration(r.expFloat64() * float64(mean))
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
