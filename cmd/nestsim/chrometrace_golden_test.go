@@ -48,11 +48,11 @@ func TestChromeTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	phases := map[string]int{"X": 39438, "i": 77595, "C": 430, "M": 129}
+	phases := map[string]int{"X": 38134, "i": 75021, "C": 478, "M": 129}
 	for _, g := range []chromeGolden{
-		{"t.json", "ecaf62e9c8cba6847319091d56345679460a9b95c92d42b0bd83f35e68b51d4b", phases},
-		{"t.run2.json", "b439c380e8ca4670730e78aac107bc849178d4a9d5ccb01d75883954c1c683db", phases},
-		{"stdout.txt", "c3d527309329b6853ae8d8ce3451463b50af8bfa83bc888bb28f78872929fa6f", nil},
+		{"t.json", "8730a696145198c60527bcacae553719c896f365b49b0501bb0ed00b314f85d7", phases},
+		{"t.run2.json", "f4b0a4df4c34e1c51f82337b07154550a81a61a72906190ae0954913b3163c31", phases},
+		{"stdout.txt", "1683743031f17298202b5927ada34a0c5cf808348d240854e5609080e4dd25ca", nil},
 	} {
 		b, err := os.ReadFile(g.file)
 		if err != nil {

@@ -19,10 +19,10 @@ import (
 // so any change to how that state is captured that moves a glyph, a
 // core row or a note fails here.
 var figureGoldens = map[string]string{
-	"fig2": "0e8fdef3770a3d24a838fec32694eacbbe5a01e4d11f079e1e3535948b866d44",
-	"fig3": "46a3ca45ae52129b4b5c5ebced8fac98bb62ae5dc5ff9dd078fb7a3734619eb9",
-	"fig8": "d9424a116815557793ebdaf6d6d35b7f943b1a6529bfcdd3f2bcc5e5c154f437",
-	"fig9": "3ddc85a869c0ee4802687e874bb02d7147a46e01f70edba7fb5e9f66869dd66a",
+	"fig2": "66b92f1390f40801944e72f739e0687fff8a92e795e4e9a71c6dae0c67464340",
+	"fig3": "4aa43805dfded2e17ae133eae4d3c71672a62abcd588ca32da96f48ac5222ae4",
+	"fig8": "e3837d2ea1598ed35d1511897e65e16272badceaf3577f983a91526f2b2b70dd",
+	"fig9": "29fadf6ffad84ee338d9c7e513e5195d37d3c821f5d3d4ba42a92c84527e350b",
 }
 
 func sha(s string) string {
@@ -94,7 +94,7 @@ func TestSVGGoldens(t *testing.T) {
 		}
 		var b strings.Builder
 		svgplot.Heatmap(&b, "heatmap", tr, metrics.EdgesFor(spec))
-		if got, want := sha(b.String()), "3dded59509d820014903df91a50f34191975413acc5107c0c5d796e66b037628"; got != want {
+		if got, want := sha(b.String()), "19416b6ee7f2ac0ca9d2f83b6b58151151e05281f7f6744e60f3554565493c8a"; got != want {
 			t.Errorf("heatmap sha256 %s, pinned %s", got, want)
 		}
 	})
@@ -109,7 +109,7 @@ func TestSVGGoldens(t *testing.T) {
 		}
 		var b strings.Builder
 		svgplot.UnderloadSeries(&b, "underload", tr.UnderloadSeries)
-		if got, want := sha(b.String()), "e702cea508ef708d4ec79da8a83152cf1d66231ace975c892a569e6984ee0732"; got != want {
+		if got, want := sha(b.String()), "29aca79dfff7d77a083237bb64a2972b36fa9c4c72bc536197673bf960cb3b36"; got != want {
 			t.Errorf("underload sha256 %s, pinned %s", got, want)
 		}
 	})
@@ -125,7 +125,7 @@ func TestSVGGoldens(t *testing.T) {
 		}
 		var b strings.Builder
 		svgplot.TimeSeries(&b, "timeseries", buf.Cores, float64(spec.MaxTurbo()))
-		if got, want := sha(b.String()), "e4a5067659283778c9adb9607ab1bd9ff2b56c93d3e5478aa8f4828093167406"; got != want {
+		if got, want := sha(b.String()), "1bd8c54b7b7e9bf2c417ef904fa0aaf6ae9e8bf4b3be64d59ea586d322438d3f"; got != want {
 			t.Errorf("timeseries sha256 %s, pinned %s", got, want)
 		}
 	})

@@ -40,8 +40,8 @@ func jsonlGoldens() []jsonlGolden {
 				Faults:      "off:c2@5ms+10ms,throttle:s0@4ms+15ms=1.8GHz,jitter:@3ms+20ms=1ms,spike:@6ms=12x1ms",
 			},
 			probe: true,
-			lines: 5170,
-			sum:   "303d3000986756a7a3d81c2cf6d8505bf6886f8430bfc9384cf17f5358600c11",
+			lines: 5127,
+			sum:   "79621fda18b25477b6e2384154aec4828a702a7fa3bf4634f1ca57832aa2f87a",
 		},
 		{
 			name: "overload-codel",
@@ -49,8 +49,8 @@ func jsonlGoldens() []jsonlGolden {
 				Machine: "6130-2", Scheduler: "cfs", Governor: "schedutil",
 				Workload: workload.OverloadMixName(1.5, "codel"), Scale: 0.05, Seed: 7,
 			},
-			lines: 7549,
-			sum:   "14a3a4b964a025d2c13a382f193b729382b33aab02e102e383ea02db07bd2145",
+			lines: 11498,
+			sum:   "202390b0954d62edff07c15657710a21aefc65b2d6efb0644fe795b6df38f19c",
 		},
 		{
 			name: "fanout-hedged",
@@ -58,8 +58,8 @@ func jsonlGoldens() []jsonlGolden {
 				Machine: "6130-2", Scheduler: "nest", Governor: "schedutil",
 				Workload: workload.FanoutMixName(16, 1.2, "p95"), Scale: 0.02, Seed: 3,
 			},
-			lines: 16078,
-			sum:   "caee6afd66bce5467a6bd356d8fea29047836c3735d733a2d5e5ccd90c4bb214",
+			lines: 15061,
+			sum:   "6f10bb14c1811c7f03f5074e4676443518dfce20f16705b80451f93452a8f346",
 		},
 	}
 }

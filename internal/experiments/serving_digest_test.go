@@ -23,39 +23,39 @@ const (
 // RegisterFanoutWorkload. A refactor of how the presets build their
 // pools must leave every byte of every result unchanged.
 var servingDigests = map[string]string{
-	"fanout/digest-pin":       "7ba968a1db5d23d65eeafc5a58540b2038fb36f91686a24907777067d62ba709",
-	"fanout/quorum":           "f2635a249ec7b091ff30c5db921b92a30f24d08b53dd1b16345d702a4302dd71",
-	"fanout/w16-0.7-none":     "65884764e091a49acf93957ed5d7bde4b460be0d31378cd6fe18923bca122fe4",
-	"fanout/w16-0.7-p95":      "9a6258c820bd85fc4aa720698de2efba1e40ad76fe18f029246472c0318fc0a9",
-	"fanout/w16-1.2-none":     "9527562756505ebc94efc57ec276175c0f2436f148833e4c1386d9a1f57d82b0",
-	"fanout/w16-1.2-p95":      "badaf341618e1986d8a0939bafaf152447039e5a0ba1c04ea86decab7115d1bd",
-	"fanout/w8-0.7-none":      "ef9bd941999396c1c411b98783651f970192722c0268ba226a01c65473a3a6e2",
-	"fanout/w8-0.7-p95":       "5f897914317cae71726719e90c37baae1f7233699aea2ba62be0a8f763a9393e",
-	"fanout/w8-1.2-none":      "8580a85683f59b13f12b2b273c419734aee9177ed0f8295e824f565f8ffd5c30",
-	"fanout/w8-1.2-p95":       "9747870f3824cb2cdc86200c1edbff87cd36055465757a4be9cda2818f515ba7",
-	"overload/diurnal":        "df0943327f6122f10a34bc9341dd34f2c032a3b14e60e8e9bbf5d8841a30ef73",
-	"overload/mix-1-cap":      "8064ea89abddd504b07972a7ba628bdcaa5cae766c14fd12cfc809c6779837e7",
-	"overload/mix-1-codel":    "7303f108165e5aa8f930b4900d080cde89b554747cf926a79844793ce911420a",
-	"overload/mix-1-none":     "489781e400d4fc8b14b2eb445aa1023f6e402bfec348a3b5b6fa01a9d7cdb32f",
-	"overload/mix-1-token":    "17857529285eeb86610a0a893243705258acc4a8c4407822b6959bea3d8052ad",
-	"overload/mix-1.5-cap":    "93069ad1f5d25c9a4cd685cbb879049874b6d58ee22ab008af81c524da4bd797",
-	"overload/mix-1.5-codel":  "647ee97f29dc27c91e5a7ded8b07a71856f82e956eb77d78d4c8046a0a6940cf",
-	"overload/mix-1.5-none":   "e4408c0d35eca34aa17edddb355d21af1c8d8d434bbd92d7f7c4a47dc273f414",
-	"overload/mix-1.5-token":  "45a6811f7cb4e870fd82deb3f28514bffe42f05482ccba5424eb17b4e139254c",
-	"overload/mix-2-cap":      "4571224d31c08f64377cc833d227ef2a6ff4e2705bc54d03675f9f1afaed109c",
-	"overload/mix-2-codel":    "0abb040260826b940596e8a15a4db67a6dca3f89de4aca0a2df0c3364f80e810",
-	"overload/mix-2-none":     "341f1c2dc9309dfae298be7393f5aaba9804a6011b16c03dac09ef5e1dbe423b",
-	"overload/mix-2-token":    "3c1d3fed24afe5b646eab409185a54884fa1f27ca0f8889069b508ab3ba9be4a",
-	"server/apache-siege-100": "63b1bf87f5daac018c8e732bdc5237dd54a39c56106d297ae92303063375e3f5",
-	"server/apache-siege-250": "0daff7e9bbf4aaa088f4df508a1997918255b6bc32bd8cbe624f997bfcf21fb9",
-	"server/leveldb":          "95bd6037e1eedfc59f1b622844bade2f4f8c1b4aeee0ad919220c78c863ef7ef",
-	"server/nginx-200":        "a31eb9f63ef96fb22def2766f43f5eb851270f3c1be8ad15049690dd14b902f5",
-	"server/nodejs":           "1cc3e67b6d1c0a1e32a4b0d3f4d673eff6966d492a1db387ad689ca5c2975962",
-	"server/perl":             "95b067194995842b08ad6563cec27c495abac0834e5b31ee46ca20a12249a808",
-	"server/php":              "863a065c05f4ab60003b9497f6bbaaa8919064bb1b09353195b2e96529c93fd7",
-	"server/redis":            "c0e8961f7354803424fd910386a86e374efc2d48b8bb6254f94109c37d68c8d5",
-	"server/rocksdb-randread": "46c145ca5d534e4690cf3744928f5b38eff7e799efa47adeeeda3edd6dd81011",
-	"trace/digest-pin":        "e4540f007f3337ed4d4d30b1e2b9514c6c2f0654f05ea1b60cf00fc8d6be279d",
+	"fanout/digest-pin":       "f5ef4df56e9de8612bd8f16552db8c06f40a7262b205c4a38b269f6a16465d74",
+	"fanout/quorum":           "dc5bf98510b7c81820173fc2a024be5344febdec69c4890abfdf8884cf6cd08a",
+	"fanout/w16-0.7-none":     "c4680cd4e7195bb7d93e8876fd0fdb6496b8136b3ac5c577c74c2d77e989c75f",
+	"fanout/w16-0.7-p95":      "8d238651fde459a8ec83c04588e6cd781c3cecbd6abc7b6b1b6ee4f0358e278b",
+	"fanout/w16-1.2-none":     "e8aa799c72ad854ad2e79dcd385e4fd673e531753992cdb816c55d0b646c3c9c",
+	"fanout/w16-1.2-p95":      "0f51ea06be6d41f1dcae03554677adaf77cfab4982121aa62be268a65febefa1",
+	"fanout/w8-0.7-none":      "489276808cabe0a45725763ad6195bfebd83d0d78c4845c2b6de6e06310e7615",
+	"fanout/w8-0.7-p95":       "91e9ef3a61edf787dc31dabb36ef6addff3855e2ad4f1ae88c2f856d51e96bc8",
+	"fanout/w8-1.2-none":      "11d87d3c72dc3e2ab1b3b600d6ac771ea0b2d7963b9c738a48c371c4dd5c1948",
+	"fanout/w8-1.2-p95":       "ee84a8c239d26332e23e44b71bff497e7bf193f738d39b5915dcd00410888486",
+	"overload/diurnal":        "91b1924938e71ebe99a7b98cb4eb2ecb7aed1fc96a37d23cb3e51f5d332c63ac",
+	"overload/mix-1-cap":      "d12764266a1d6cefe6822a216fd8686496cad237f7f0bb4d8c354380ee512d63",
+	"overload/mix-1-codel":    "aafb3ec1b4e2afcec19dcdbb8bc9d5b887f37d01406952b4edfef86b76e48cc9",
+	"overload/mix-1-none":     "fc170c94f25e8fd1ced750eadcf7176cdb7747200cff94a00e7240029edde10d",
+	"overload/mix-1-token":    "b5e92ac38f209acdda7c5ebc1a43ecfefe858f53c02d121f25cec863afc3375d",
+	"overload/mix-1.5-cap":    "c59552cedde0abf8a38f80754fce2444d279a8194c4d32e7dc65066789797766",
+	"overload/mix-1.5-codel":  "7875097dbf442515fa70756df08ea4847e0cdaa005d70943b385f71caf3c1145",
+	"overload/mix-1.5-none":   "2e0ac97b3f6c2a8ecf5eb5a93d1ffeb96f7f6dd74b7e1bf5f663028d4807490f",
+	"overload/mix-1.5-token":  "d6f31a58715978874d81ffaeb938975a93c0159ca9a90f1df785ed6acbabc3b7",
+	"overload/mix-2-cap":      "104574dc6633080607cf697a5ec3384ee77c4b0712d48d99001b12c660975586",
+	"overload/mix-2-codel":    "de898996834d441b9277e0678d5467175346ed84edffa1189be9116601186258",
+	"overload/mix-2-none":     "9812c0929e78a418bb79485f8f86bbb1a6bfd3956a2a4d84f86ec8916eee36d6",
+	"overload/mix-2-token":    "1fa7f0191327b1d84586d5d154c76bf02bea6b0e8a1f319d2dbdb554171bf8ee",
+	"server/apache-siege-100": "675476bfe95cc0724fb008b939fe428b37e14bdc1ed0061cd19013108789af1f",
+	"server/apache-siege-250": "b86ded9dd5715c60b3b66115a06f72011353586114d3eb2936beffde9caa28f4",
+	"server/leveldb":          "6d56e3d43654a9391aa6f58f7b0301c151c7bd72d5b55cfc3191a9b513145141",
+	"server/nginx-200":        "f0d13304a0b8a186e805abb37d8fa0660bf4385c8d01c1535d62e31e0ca08437",
+	"server/nodejs":           "bb6e1403f4a4d15c1a53a80bac56e7d5f18a54554874832a96c3311512a907c7",
+	"server/perl":             "b84c77bca47722771a351aaa7b88544d654922ea17f941fc9afec94dab2020b9",
+	"server/php":              "68107be785f5b235d7569a6db4eb89a5628f77fb8be130aa58478ab2b11f3f80",
+	"server/redis":            "aa39359e26eda42fec6aded6aa06f1c4b0244abeeae6dce6abc00566c34b9ad4",
+	"server/rocksdb-randread": "82ebed60fcd479a5492020bb770cc4b3c579727090f9af5954bba12751c10fe9",
+	"trace/digest-pin":        "7900842fb33cccd87cc05279e543f18b721390c95ae033cf841307817ef91285",
 }
 
 // registerDigestWorkloads registers the trace and fan-out cells once
