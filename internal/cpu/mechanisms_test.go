@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/cfs"
@@ -104,25 +105,51 @@ func TestForkStormSpreadsEvenly(t *testing.T) {
 // TestNestKeepsSleepyThreadsOnWarmCores: the h2 pattern in miniature —
 // under Nest, many low-duty threads spend far more of their busy time in
 // the upper turbo buckets (warm reused cores, spin-covered gaps) and the
-// run finishes faster than under CFS.
+// run finishes faster than under CFS. Like the claim matrix, it judges
+// the medians over odd seeds 1-39, not one seed: at a single seed the
+// runtime gain is noise-dominated (over seeds 1-40 it was below 0 at 3
+// seeds on the float model and at 5 with the current draws, medians
+// +4.6% and +4.5%).
 func TestNestKeepsSleepyThreadsOnWarmCores(t *testing.T) {
 	spec := machine.IntelXeon6130(2)
-	run := func(mk func() sched.Policy) (float64, sim.Time) {
-		m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: mk(), Seed: 5})
+	run := func(mk func() sched.Policy, seed uint64) (float64, sim.Time) {
+		m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: mk(), Seed: seed})
 		installSleepy(m, spec)
 		res := m.Run(0)
 		n := len(res.FreqHist.Weight)
 		top := res.FreqHist.Share(n-1) + res.FreqHist.Share(n-2) + res.FreqHist.Share(n-3)
 		return top, res.Runtime
 	}
-	nestTop, nestT := run(func() sched.Policy { return nest.Default() })
-	cfsTop, cfsT := run(func() sched.Policy { return cfs.Default() })
-	if nestTop <= cfsTop {
-		t.Fatalf("nest top-turbo share %.2f not above cfs %.2f", nestTop, cfsTop)
+	var topGain, speedup []float64
+	faster := 0
+	for seed := uint64(1); seed <= 39; seed += 2 {
+		nestTop, nestT := run(func() sched.Policy { return nest.Default() }, seed)
+		cfsTop, cfsT := run(func() sched.Policy { return cfs.Default() }, seed)
+		topGain = append(topGain, nestTop-cfsTop)
+		speedup = append(speedup, float64(cfsT)/float64(nestT)-1)
+		if nestT < cfsT {
+			faster++
+		}
 	}
-	if nestT >= cfsT {
-		t.Fatalf("nest runtime %v not below cfs %v", nestT, cfsT)
+	top, gain := medianOf(topGain), medianOf(speedup)
+	t.Logf("median top-turbo share gain %+.3f, median speedup %+.2f%%, nest faster at %d of %d seeds",
+		top, 100*gain, faster, len(speedup))
+	if top <= 0 {
+		t.Errorf("median nest top-turbo share gain %+.3f, want above 0", top)
 	}
+	if gain <= 0 {
+		t.Errorf("median nest speedup over cfs %+.2f%%, want above 0", 100*gain)
+	}
+}
+
+// medianOf returns the median of xs, which it sorts.
+func medianOf(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 func installSleepy(m *Machine, spec *machine.Spec) {
