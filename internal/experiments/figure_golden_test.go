@@ -19,10 +19,10 @@ import (
 // so any change to how that state is captured that moves a glyph, a
 // core row or a note fails here.
 var figureGoldens = map[string]string{
-	"fig2": "66b92f1390f40801944e72f739e0687fff8a92e795e4e9a71c6dae0c67464340",
-	"fig3": "4aa43805dfded2e17ae133eae4d3c71672a62abcd588ca32da96f48ac5222ae4",
-	"fig8": "e3837d2ea1598ed35d1511897e65e16272badceaf3577f983a91526f2b2b70dd",
-	"fig9": "29fadf6ffad84ee338d9c7e513e5195d37d3c821f5d3d4ba42a92c84527e350b",
+	"fig2": "4e097d8e323f422ac3e6034376cdde5a9c9edbbfc48ac7b183220787db66137c",
+	"fig3": "d6e94b521fa4018d3b0bf10a8d614e9f26da8763dd2957341c2c1fd984217008",
+	"fig8": "975dde4c886070eee72b47ae39da1e83ae6a5e05f11fa26497b200a66c1f173f",
+	"fig9": "4568e4b3e9cd0eb7b9c592aa9321fe59d5e2b26df90c3597977f91b57144c9cc",
 }
 
 func sha(s string) string {
@@ -94,7 +94,7 @@ func TestSVGGoldens(t *testing.T) {
 		}
 		var b strings.Builder
 		svgplot.Heatmap(&b, "heatmap", tr, metrics.EdgesFor(spec))
-		if got, want := sha(b.String()), "19416b6ee7f2ac0ca9d2f83b6b58151151e05281f7f6744e60f3554565493c8a"; got != want {
+		if got, want := sha(b.String()), "5141b7017b8c4f51d01e9f99884771f366d04c2ce5ecfd16655a7c482aaeb507"; got != want {
 			t.Errorf("heatmap sha256 %s, pinned %s", got, want)
 		}
 	})
@@ -109,7 +109,7 @@ func TestSVGGoldens(t *testing.T) {
 		}
 		var b strings.Builder
 		svgplot.UnderloadSeries(&b, "underload", tr.UnderloadSeries)
-		if got, want := sha(b.String()), "29aca79dfff7d77a083237bb64a2972b36fa9c4c72bc536197673bf960cb3b36"; got != want {
+		if got, want := sha(b.String()), "d5aa0efc197a777e305afc9f657a44f35a0d4decbffd3b6f4fba6e2b15f88a5b"; got != want {
 			t.Errorf("underload sha256 %s, pinned %s", got, want)
 		}
 	})
@@ -125,7 +125,7 @@ func TestSVGGoldens(t *testing.T) {
 		}
 		var b strings.Builder
 		svgplot.TimeSeries(&b, "timeseries", buf.Cores, float64(spec.MaxTurbo()))
-		if got, want := sha(b.String()), "1bd8c54b7b7e9bf2c417ef904fa0aaf6ae9e8bf4b3be64d59ea586d322438d3f"; got != want {
+		if got, want := sha(b.String()), "5b0595b548e8d9c10c90965ce5fccd3af082ff5ab2842cdb118014fcfdccf098"; got != want {
 			t.Errorf("timeseries sha256 %s, pinned %s", got, want)
 		}
 	})

@@ -40,8 +40,8 @@ func jsonlGoldens() []jsonlGolden {
 				Faults:      "off:c2@5ms+10ms,throttle:s0@4ms+15ms=1.8GHz,jitter:@3ms+20ms=1ms,spike:@6ms=12x1ms",
 			},
 			probe: true,
-			lines: 5127,
-			sum:   "79621fda18b25477b6e2384154aec4828a702a7fa3bf4634f1ca57832aa2f87a",
+			lines: 4957,
+			sum:   "aaa1942e6033e0b2f4376785714e1657f6ba3c516fd2016b26d8f758ac644b92",
 		},
 		{
 			name: "overload-codel",
@@ -49,8 +49,8 @@ func jsonlGoldens() []jsonlGolden {
 				Machine: "6130-2", Scheduler: "cfs", Governor: "schedutil",
 				Workload: workload.OverloadMixName(1.5, "codel"), Scale: 0.05, Seed: 7,
 			},
-			lines: 11498,
-			sum:   "202390b0954d62edff07c15657710a21aefc65b2d6efb0644fe795b6df38f19c",
+			lines: 9417,
+			sum:   "f2135c7f932ff404ce24b3e0b5c5c102cbb2d3199afbb1f75b48ba7362f8d5c5",
 		},
 		{
 			name: "fanout-hedged",
@@ -58,8 +58,8 @@ func jsonlGoldens() []jsonlGolden {
 				Machine: "6130-2", Scheduler: "nest", Governor: "schedutil",
 				Workload: workload.FanoutMixName(16, 1.2, "p95"), Scale: 0.02, Seed: 3,
 			},
-			lines: 15061,
-			sum:   "6f10bb14c1811c7f03f5074e4676443518dfce20f16705b80451f93452a8f346",
+			lines: 15769,
+			sum:   "7f817d80b5b5f53a45cd915d24d797eb3ed2553d49fede03c06d0407afb5ce09",
 		},
 	}
 }

@@ -23,39 +23,39 @@ const (
 // RegisterFanoutWorkload. A refactor of how the presets build their
 // pools must leave every byte of every result unchanged.
 var servingDigests = map[string]string{
-	"fanout/digest-pin":       "f5ef4df56e9de8612bd8f16552db8c06f40a7262b205c4a38b269f6a16465d74",
-	"fanout/quorum":           "dc5bf98510b7c81820173fc2a024be5344febdec69c4890abfdf8884cf6cd08a",
-	"fanout/w16-0.7-none":     "c4680cd4e7195bb7d93e8876fd0fdb6496b8136b3ac5c577c74c2d77e989c75f",
-	"fanout/w16-0.7-p95":      "8d238651fde459a8ec83c04588e6cd781c3cecbd6abc7b6b1b6ee4f0358e278b",
-	"fanout/w16-1.2-none":     "e8aa799c72ad854ad2e79dcd385e4fd673e531753992cdb816c55d0b646c3c9c",
-	"fanout/w16-1.2-p95":      "0f51ea06be6d41f1dcae03554677adaf77cfab4982121aa62be268a65febefa1",
-	"fanout/w8-0.7-none":      "489276808cabe0a45725763ad6195bfebd83d0d78c4845c2b6de6e06310e7615",
-	"fanout/w8-0.7-p95":       "91e9ef3a61edf787dc31dabb36ef6addff3855e2ad4f1ae88c2f856d51e96bc8",
-	"fanout/w8-1.2-none":      "11d87d3c72dc3e2ab1b3b600d6ac771ea0b2d7963b9c738a48c371c4dd5c1948",
-	"fanout/w8-1.2-p95":       "ee84a8c239d26332e23e44b71bff497e7bf193f738d39b5915dcd00410888486",
-	"overload/diurnal":        "91b1924938e71ebe99a7b98cb4eb2ecb7aed1fc96a37d23cb3e51f5d332c63ac",
-	"overload/mix-1-cap":      "d12764266a1d6cefe6822a216fd8686496cad237f7f0bb4d8c354380ee512d63",
-	"overload/mix-1-codel":    "aafb3ec1b4e2afcec19dcdbb8bc9d5b887f37d01406952b4edfef86b76e48cc9",
-	"overload/mix-1-none":     "fc170c94f25e8fd1ced750eadcf7176cdb7747200cff94a00e7240029edde10d",
-	"overload/mix-1-token":    "b5e92ac38f209acdda7c5ebc1a43ecfefe858f53c02d121f25cec863afc3375d",
-	"overload/mix-1.5-cap":    "c59552cedde0abf8a38f80754fce2444d279a8194c4d32e7dc65066789797766",
-	"overload/mix-1.5-codel":  "7875097dbf442515fa70756df08ea4847e0cdaa005d70943b385f71caf3c1145",
-	"overload/mix-1.5-none":   "2e0ac97b3f6c2a8ecf5eb5a93d1ffeb96f7f6dd74b7e1bf5f663028d4807490f",
-	"overload/mix-1.5-token":  "d6f31a58715978874d81ffaeb938975a93c0159ca9a90f1df785ed6acbabc3b7",
-	"overload/mix-2-cap":      "104574dc6633080607cf697a5ec3384ee77c4b0712d48d99001b12c660975586",
-	"overload/mix-2-codel":    "de898996834d441b9277e0678d5467175346ed84edffa1189be9116601186258",
-	"overload/mix-2-none":     "9812c0929e78a418bb79485f8f86bbb1a6bfd3956a2a4d84f86ec8916eee36d6",
-	"overload/mix-2-token":    "1fa7f0191327b1d84586d5d154c76bf02bea6b0e8a1f319d2dbdb554171bf8ee",
-	"server/apache-siege-100": "675476bfe95cc0724fb008b939fe428b37e14bdc1ed0061cd19013108789af1f",
-	"server/apache-siege-250": "b86ded9dd5715c60b3b66115a06f72011353586114d3eb2936beffde9caa28f4",
-	"server/leveldb":          "6d56e3d43654a9391aa6f58f7b0301c151c7bd72d5b55cfc3191a9b513145141",
-	"server/nginx-200":        "f0d13304a0b8a186e805abb37d8fa0660bf4385c8d01c1535d62e31e0ca08437",
-	"server/nodejs":           "bb6e1403f4a4d15c1a53a80bac56e7d5f18a54554874832a96c3311512a907c7",
-	"server/perl":             "b84c77bca47722771a351aaa7b88544d654922ea17f941fc9afec94dab2020b9",
-	"server/php":              "68107be785f5b235d7569a6db4eb89a5628f77fb8be130aa58478ab2b11f3f80",
-	"server/redis":            "aa39359e26eda42fec6aded6aa06f1c4b0244abeeae6dce6abc00566c34b9ad4",
-	"server/rocksdb-randread": "82ebed60fcd479a5492020bb770cc4b3c579727090f9af5954bba12751c10fe9",
-	"trace/digest-pin":        "7900842fb33cccd87cc05279e543f18b721390c95ae033cf841307817ef91285",
+	"fanout/digest-pin":       "6efa39aac5ab82e6d440c4502bbe0cbca2ae97e7f9664dbb4e96fbf2c88b8141",
+	"fanout/quorum":           "75461fb19ea5cab3cc844f1babce2335aef089190cfd5f35464843d91dbcc55d",
+	"fanout/w16-0.7-none":     "a32e1aa566ba6f4794ede02aa87f6752ef074e0dd176ec33446e944628b1b5db",
+	"fanout/w16-0.7-p95":      "900cb702206d5971ae3e288dceb00554e3b2e5cbf93406028c493d5353694231",
+	"fanout/w16-1.2-none":     "453cbd3d4747e2a3b0479e231dfdcbbc154569ca98d0dd2844d06ff58827b6d2",
+	"fanout/w16-1.2-p95":      "2aec8dae2b1fee3d18f5446a64798130f4efb3909f231be41c9ce2d5d7b7173a",
+	"fanout/w8-0.7-none":      "3bacc1f7f792925910370c82c257bbee2c226742918ec5f1acd38cff23892dcc",
+	"fanout/w8-0.7-p95":       "b520a1c2ba236033d68fcacbe21905f24909fa6d0cb1a904c53fc5b51a3be2ee",
+	"fanout/w8-1.2-none":      "1979599cb678fcfa5a06a5b12bda746d5f01ded7bb1b714324d7179adafc0322",
+	"fanout/w8-1.2-p95":       "fa0a4d93ef60aabf6ba9c51eb65b9bb315b8e7c87eb50dff21922753fd11a717",
+	"overload/diurnal":        "8cefa605887d6d4e97fa9a77596b21561ab49d19fd1f202927a701b91fe1ef8f",
+	"overload/mix-1-cap":      "c7d28086751924a7a5666b77fc5221320a0eb5bdb8aae6cf63455aaab56f3339",
+	"overload/mix-1-codel":    "ea9ce73ae8c8dcdbbfca50e7ad28772f01f3424a6e1483efc6aaf268c0498dd2",
+	"overload/mix-1-none":     "9f39300fc454ef0ed5fedf636299d706c25ec4f480add02487fb9bb7eb8b5a69",
+	"overload/mix-1-token":    "eeb26e5e0a83a9226e098c263789bdc65698a66fb31dabf6dfd336c30f23fdc7",
+	"overload/mix-1.5-cap":    "b5214f69080e4215ff5b17b3c336a0a9193c9b0d37ab50eae3b799d7ad365b87",
+	"overload/mix-1.5-codel":  "1d6d6a026eda498dff1d12dc0bc3aa87ba12ba8b91476415e11debf9d88dd00c",
+	"overload/mix-1.5-none":   "4f5acb0908241c2c928166b292da4294f75b590aa78467f7ff4d257e61cc8ebb",
+	"overload/mix-1.5-token":  "f020180367fca4a24d5e3406358d62624bde235419c88e1862ff0f00f178fb79",
+	"overload/mix-2-cap":      "2ff0fb629412f88ddadc98c435110a42e6febb0f87805d936f237114a73c9203",
+	"overload/mix-2-codel":    "f0815f643d07b58cc3b4708a3016a0e9c1102f81e2787fa2535534c0e8634e96",
+	"overload/mix-2-none":     "e55db06656ed0ae806640c0be90199c8d94845a93054b7c7e12ac491bef573b7",
+	"overload/mix-2-token":    "0e3f9896e782f288804be0b70181ac171e2d8a5378b965278ccb6a29a39f8f52",
+	"server/apache-siege-100": "1ccac5cd781305a8d8ece45bd9d1c9179e6897b1f2f7ee7966b70fb40ac90619",
+	"server/apache-siege-250": "8a501043c9b3930a3e2088eaf2a34aa13f4df14778da07e884100675e2d3582b",
+	"server/leveldb":          "1610c701d165663c0077d2f5f0398ca79230f43fd6e78b12e5684e40cf954f12",
+	"server/nginx-200":        "a49c0218a572f3b3ec985bae57ed287a2655ff9630ddf9b4bdc49b3a4298e759",
+	"server/nodejs":           "3921b51ce5d2d58871c6b9a00584cad5bb2971e85e739c1bf8a60f5b23d856d5",
+	"server/perl":             "823bf07301d3f24a5c6394cf8e44e20595a7aec396d101d2978e528828ab2e63",
+	"server/php":              "4a52a3bf903b6d166c903482381666384b5fd9fdf0a128ed26b5c0ee36e9817f",
+	"server/redis":            "caaf392eef125717703a1ee61b89aa7a6504b08c7a860f65d0d5c13260789e70",
+	"server/rocksdb-randread": "80e000929bbe010cdca7bea834ace79fca98358e015df3d833f93b96d9de4ecd",
+	"trace/digest-pin":        "fad193e32de038c7baef8c0bcd1c46278af2a5c33321beb6faf4a678106b4570",
 }
 
 // registerDigestWorkloads registers the trace and fan-out cells once

@@ -59,6 +59,41 @@ func TestPortableExpRange(t *testing.T) {
 	}
 }
 
+// TestZigguratTables checks the built tables against entries of Go's
+// math/rand tables (32-bit draws, float32 entries): the same strips, to
+// float32 precision.
+func TestZigguratTables(t *testing.T) {
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 2e-7*math.Abs(want) {
+			t.Errorf("%s = %.9g, Go's table %.9g", name, got, want)
+		}
+	}
+	n, e := &zigNormal, &zigExp
+	for _, c := range []struct {
+		i      int
+		k      uint32
+		w, f   float64
+		ke     uint32
+		we, fe float64
+	}{
+		{0, 0x76ad2212, 1.7290405e-09, 1, 0xe290a139, 2.0249555e-09, 1},
+		{2, 0x600f1b53, 1.6897518e-10, 0.9362827, 0x9beadebc, 2.4409617e-11, 0.90046996},
+		{64, 0x7eddc78e, 7.1389966e-10, 0.30876362, 0xfd1e48d6, 2.2116936e-10, 0.38677382},
+	} {
+		near(fmt.Sprintf("normal k[%d]", c.i), float64(n.k[c.i]>>21), float64(c.k))
+		near(fmt.Sprintf("normal w[%d]", c.i), n.w[c.i]*(1<<21), c.w)
+		near(fmt.Sprintf("normal f[%d]", c.i), n.f[c.i], c.f)
+		near(fmt.Sprintf("exp k[%d]", c.i), float64(e.k[c.i]>>21), float64(c.ke))
+		near(fmt.Sprintf("exp w[%d]", c.i), e.w[c.i]*(1<<21), c.we)
+		near(fmt.Sprintf("exp f[%d]", c.i), e.f[c.i], c.fe)
+	}
+	near("normal w[127]", n.w[127]*(1<<21), 1.6030948e-09)
+	near("normal f[127]", n.f[127], 0.0026696292)
+	near("exp w[255]", e.w[255]*(1<<21), 1.7921248e-09)
+	near("exp f[255]", e.f[255], 0.00045413437)
+}
+
 // moments returns the sample mean, variance, skewness and excess
 // kurtosis of xs.
 func moments(xs []float64) (mean, variance, skew, kurt float64) {
@@ -191,7 +226,7 @@ func TestDrawStreamsPinned(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[:], uint64(ln.Draw(r)))
 		h.Write(b[:])
 	}
-	const pinned = "0a50569481298e53023306bac6aee75eddd178b3f5d92190587a9473f9b2d9f0"
+	const pinned = "5530683f15d9c9603f4d15725b0657fdb14c239eb5ccdb453dd48d72a65fc463"
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinned {
 		t.Errorf("draw streams sha256 %s, pinned %s", got, pinned)
 	}

@@ -76,20 +76,21 @@ func (r *Rand) unit() float64 {
 	return 1 - r.Float64()
 }
 
-// normFloat64 returns a standard normal value by Marsaglia and Tsang's
-// ziggurat (ziggurat.go), driven by the top 32 bits of one Uint64 draw;
-// more than 99% of draws return from the first test. The tail and the
-// wedges use the portable exp and log (fmath.go).
+// normFloat64 returns a standard normal value by the ziggurat
+// (ziggurat.go); more than 99% of draws return from the first test. The
+// tail and the wedges use the portable exp and log (fmath.go).
 func (r *Rand) normFloat64() float64 {
+	z := &zigNormal
 	for {
-		j := int32(r.Uint64() >> 32) // possibly negative
-		i := j & 0x7F
-		x := float64(j) * float64(zigWn[i])
-		a := uint32(j)
+		u := r.Uint64()
+		i := u >> 3 & 0x7F
+		j := int64(u) >> 11 // the top 53 bits, signed
+		x := float64(j) * z.w[i]
+		a := uint64(j)
 		if j < 0 {
-			a = uint32(-j)
+			a = uint64(-j)
 		}
-		if a < zigKn[i] {
+		if a < z.k[i] {
 			return x
 		}
 		if i == 0 {
@@ -106,8 +107,7 @@ func (r *Rand) normFloat64() float64 {
 			}
 			return -zigNormalR - x
 		}
-		f0, f1 := float64(zigFn[i]), float64(zigFn[i-1])
-		if f0+float64(r.Float64()*(f1-f0)) < exp(-0.5*x*x) {
+		if z.f[i]+float64(r.Float64()*(z.f[i-1]-z.f[i])) < exp(-0.5*x*x) {
 			return x
 		}
 	}
@@ -116,18 +116,19 @@ func (r *Rand) normFloat64() float64 {
 // expFloat64 returns an exponential value with mean 1 by the ziggurat,
 // as normFloat64 does.
 func (r *Rand) expFloat64() float64 {
+	z := &zigExp
 	for {
-		j := uint32(r.Uint64() >> 32)
-		i := j & 0xFF
-		x := float64(j) * float64(zigWe[i])
-		if j < zigKe[i] {
+		u := r.Uint64()
+		i := u >> 3 & 0xFF
+		j := u >> 11 // the top 53 bits
+		x := float64(j) * z.w[i]
+		if j < z.k[i] {
 			return x
 		}
 		if i == 0 {
 			return zigExpR - log(r.unit())
 		}
-		f0, f1 := float64(zigFe[i]), float64(zigFe[i-1])
-		if f0+float64(r.Float64()*(f1-f0)) < exp(-x) {
+		if z.f[i]+float64(r.Float64()*(z.f[i-1]-z.f[i])) < exp(-x) {
 			return x
 		}
 	}
