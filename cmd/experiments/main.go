@@ -81,8 +81,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "experiments: -runs must be at least 1")
 		return 2
 	}
-	if *scale < 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -scale must not be negative")
+	if err := experiments.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if *parallel == 0 {

@@ -43,6 +43,9 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
+	if err := experiments.CheckScale(*scale); err != nil {
+		usage(err)
+	}
 	rs := experiments.RunSpec{
 		Machine: *machineName, Scheduler: *sched, Governor: *gov,
 		Workload: *wl, Scale: *scale, Seed: *seed,

@@ -53,7 +53,7 @@ func benchPolicy(b *testing.B, mk func() sched.Policy, newHub func() *obs.Hub, s
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	// Wall nanoseconds spent per simulated second: the headline cost
-	// metric tracked in BENCH_nest.json (lower is better; independent of
+	// metric, as perfbench reports it (lower is better; independent of
 	// how long each benchmark iteration happens to simulate).
 	if simNS > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(simNS/float64(sim.Second)), "ns/sim_s")

@@ -72,7 +72,7 @@ func ablationConfigure(opt Options) (*Report, error) {
 
 // ablationDacapo is §5.3's study on h2, graphchi-eval and tradebeans.
 func ablationDacapo(opt Options) (*Report, error) {
-	variants := []string{"nospin", "nocompact", "noreserve", "smax=1", "smax=20", "premove=1"}
+	variants := []string{"nospin", "nocompact", "noreserve", "smax=1", "smax=4", "smax=20", "premove=1"}
 	rep, err := ablationGrid("ablation-dacapo",
 		"Nest ablation on DaCapo (speedup of variant vs full Nest-schedutil)",
 		[]string{"dacapo/h2", "dacapo/graphchi-eval", "dacapo/tradebeans"},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/invariant"
@@ -87,12 +88,15 @@ func TestRunSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mut := range map[string]func(*RunSpec){
-		"machine":   func(r *RunSpec) { r.Machine = "bogus" },
-		"scheduler": func(r *RunSpec) { r.Scheduler = "fifo" },
-		"governor":  func(r *RunSpec) { r.Governor = "ondemand" },
-		"workload":  func(r *RunSpec) { r.Workload = "bogus" },
-		"scale":     func(r *RunSpec) { r.Scale = -1 },
-		"faults":    func(r *RunSpec) { r.Faults = "off:c2" },
+		"machine":    func(r *RunSpec) { r.Machine = "bogus" },
+		"scheduler":  func(r *RunSpec) { r.Scheduler = "fifo" },
+		"governor":   func(r *RunSpec) { r.Governor = "ondemand" },
+		"workload":   func(r *RunSpec) { r.Workload = "bogus" },
+		"scale":      func(r *RunSpec) { r.Scale = -1 },
+		"scale NaN":  func(r *RunSpec) { r.Scale = math.NaN() },
+		"scale +Inf": func(r *RunSpec) { r.Scale = math.Inf(1) },
+		"scale -Inf": func(r *RunSpec) { r.Scale = math.Inf(-1) },
+		"faults":     func(r *RunSpec) { r.Faults = "off:c2" },
 	} {
 		rs := good
 		mut(&rs)

@@ -5,6 +5,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -18,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/naive"
 	"repro/internal/obs"
-	"repro/internal/ordered"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/smove"
@@ -65,25 +65,6 @@ var nestParams = map[string]string{
 	"smax":       "nospin",
 	"rmax":       "noreserve",
 	"rimpatient": "noimpatience",
-}
-
-// NestParamScheduler names the Nest variant that sets one Table 1
-// parameter to v: "nest:<param>=<v>", or for v = 0 the flag that turns
-// the parameter's feature off (the §5.2/§5.3 parameter sweeps). An
-// unknown parameter or a negative value is an error.
-func NestParamScheduler(param string, v int) (string, error) {
-	off, ok := nestParams[param]
-	if !ok {
-		return "", fmt.Errorf("experiments: unknown Nest parameter %q (want %s)", param, strings.Join(ordered.Keys(nestParams), ", "))
-	}
-	if v == 0 {
-		return "nest:" + off, nil
-	}
-	name := fmt.Sprintf("nest:%s=%d", param, v)
-	if _, err := NestVariant(name); err != nil {
-		return "", err
-	}
-	return name, nil
 }
 
 // NestVariant parses "nest:flag[,flag...]" ablation names. Flags:
@@ -325,14 +306,24 @@ func (rs RunSpec) Validate() error {
 	if _, err := workload.ByName(rs.Workload); err != nil {
 		return err
 	}
-	if rs.Scale < 0 {
-		return fmt.Errorf("experiments: scale must not be negative, got %g (0 selects the default)", rs.Scale)
+	if err := CheckScale(rs.Scale); err != nil {
+		return err
 	}
 	plan, err := fault.Parse(rs.Faults)
 	if err != nil {
 		return err
 	}
 	return plan.Validate(spec)
+}
+
+// CheckScale rejects a workload scale that is negative, NaN or
+// infinite. Go leaves the int conversion of NaN and ±Inf to the
+// implementation, so such a run would differ between architectures.
+func CheckScale(scale float64) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("experiments: scale must be finite and not negative, got %g (0 selects the default)", scale)
+	}
+	return nil
 }
 
 // DefaultScale shortens workloads to ~1/25 of paper length so the full

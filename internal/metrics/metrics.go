@@ -193,7 +193,7 @@ func Stddev(xs []float64) float64 {
 	m := Mean(xs)
 	var s float64
 	for _, x := range xs {
-		s += (x - m) * (x - m)
+		s += float64((x - m) * (x - m))
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
 }

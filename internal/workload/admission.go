@@ -127,7 +127,7 @@ func (p *tokenPolicy) name() string {
 }
 
 func (p *tokenPolicy) admit(now sim.Time, prio, _ int) bool {
-	p.tokens += p.rate * sim.Duration(now-p.last).Seconds()
+	p.tokens += float64(p.rate * sim.Duration(now-p.last).Seconds())
 	if p.tokens > p.burst {
 		p.tokens = p.burst
 	}

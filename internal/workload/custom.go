@@ -189,7 +189,7 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 						if ratio > 3 {
 							ratio = 3
 						}
-						d = sim.Duration(float64(d) * (0.25 + 0.75*ratio))
+						d = sim.Duration(float64(d) * (0.25 + float64(0.75*ratio)))
 					}
 					wait.D = d
 					return &wait

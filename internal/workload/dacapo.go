@@ -91,7 +91,7 @@ func (p javaProfile) install(m *cpu.Machine, scale float64, paperSecs float64) {
 				}
 			}
 			d := gap.Draw(r)
-			wait.D = sim.Duration(float64(d) * (fixedWaitFrac + (1-fixedWaitFrac)*ratio))
+			wait.D = sim.Duration(float64(d) * (fixedWaitFrac + float64((1-fixedWaitFrac)*ratio)))
 			return &wait
 		}
 	}

@@ -37,7 +37,7 @@ func overloadPool(mix []overloadClass) openLoopProfile {
 func (p openLoopProfile) capacityRate() float64 {
 	var mean float64
 	for _, cl := range p.mix {
-		mean += cl.share * float64(cl.service)
+		mean += float64(cl.share * float64(cl.service))
 	}
 	return float64(p.handlers) / mean * float64(sim.Second)
 }

@@ -145,7 +145,7 @@ func (p ptsProfile) installWorkers(m *cpu.Machine, scale float64, paperSecs floa
 				if ratio > 3 {
 					ratio = 3
 				}
-				d = sim.Duration(float64(d) * (0.25 + 0.75*ratio))
+				d = sim.Duration(float64(d) * (0.25 + float64(0.75*ratio)))
 			}
 			wait.D = d
 			return &wait
@@ -253,7 +253,7 @@ func PhoronixAll() []string {
 // parallel and short-task tests.
 func backgroundProfile(i int) (ptsProfile, float64) {
 	r := sim.NewRand(0xb9 + uint64(i))
-	secs := 6 + 14*r.Float64()
+	secs := 6 + float64(14*r.Float64())
 	switch {
 	case i%20 == 19: // 5%: short-task storms
 		return ptsProfile{Storm: 8 + r.Intn(24), StormTask: sim.Duration(300+r.Intn(900)) * sim.Microsecond}, secs
@@ -272,7 +272,7 @@ func backgroundProfile(i int) (ptsProfile, float64) {
 			Threads: 0,
 			Burst:   sim.Duration(5+r.Intn(20)) * msec,
 			Gap:     sim.Duration(200+r.Intn(600)) * sim.Microsecond,
-			BurstCV: 0.2 + 0.3*r.Float64(),
+			BurstCV: 0.2 + float64(0.3*r.Float64()),
 			Barrier: r.Intn(3) == 0,
 		}, secs
 	}

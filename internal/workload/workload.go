@@ -75,7 +75,7 @@ func Suite(suite string) []*Workload {
 
 // scaleCount scales an iteration count, keeping at least min.
 func scaleCount(n int, scale float64, min int) int {
-	v := int(float64(n)*scale + 0.5)
+	v := int(float64(float64(n)*scale) + 0.5)
 	if v < min {
 		v = min
 	}
