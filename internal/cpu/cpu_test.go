@@ -104,6 +104,89 @@ func TestChannelPingPong(t *testing.T) {
 	}
 }
 
+// chanWaiter returns a behaviour that sleeps delay, performs a (a Send
+// or Recv), records in *done the time the action completed and exits.
+func chanWaiter(delay sim.Duration, a proc.Action, done *sim.Time) proc.Behavior {
+	step := 0
+	return func(t *proc.Task, r *sim.Rand) proc.Action {
+		step++
+		switch step {
+		case 1:
+			return proc.Sleep{D: delay}
+		case 2:
+			return a
+		case 3:
+			*done = t.Now
+		}
+		return proc.Exit{}
+	}
+}
+
+// TestChannelWakesBlockedTasksInFIFOOrder blocks several receivers, then
+// several senders, on one channel and checks that each side is woken in
+// the order it blocked. The partner spaces its transfers 1 ms apart so
+// the completion times order the wakeups.
+func TestChannelWakesBlockedTasksInFIFOOrder(t *testing.T) {
+	spec := machine.IntelXeon6130(2)
+	gap := proc.Compute{Cycles: proc.Cycles(sim.Millisecond, spec.Nominal)}
+	const n = 4
+	stagger := func(i int) sim.Duration { return sim.Duration(i) * 100 * sim.Microsecond }
+
+	t.Run("receivers", func(t *testing.T) {
+		m := newMachine(t, cfs.Default(), governor.Schedutil{}, spec)
+		ch := proc.NewChan("rx", 1)
+		var done [n]sim.Time
+		for i := 0; i < n; i++ {
+			m.Spawn("rx", chanWaiter(stagger(i), proc.Recv{Ch: ch}, &done[i]))
+		}
+		sender := []proc.Action{proc.Sleep{D: 10 * sim.Millisecond}}
+		for i := 0; i < n; i++ {
+			sender = append(sender, proc.Send{Ch: ch}, gap)
+		}
+		m.Spawn("tx", proc.Script(sender...))
+		if res := m.Run(10 * sim.Second); res.Custom["truncated"] != 0 {
+			t.Fatal("run truncated")
+		}
+		for i := 1; i < n; i++ {
+			if !(done[i-1] < done[i]) {
+				t.Fatalf("receivers completed at %v: receiver %d not after receiver %d", done, i, i-1)
+			}
+		}
+		if ch.Receivers.Len() != 0 || ch.Queued != 0 {
+			t.Fatalf("%d receivers and %d messages left", ch.Receivers.Len(), ch.Queued)
+		}
+	})
+
+	t.Run("senders", func(t *testing.T) {
+		m := newMachine(t, cfs.Default(), governor.Schedutil{}, spec)
+		ch := proc.NewChan("tx", 1)
+		var done [n]sim.Time
+		for i := 0; i < n; i++ {
+			// The first sender fills the channel; the rest block.
+			m.Spawn("tx", chanWaiter(stagger(i), proc.Send{Ch: ch}, &done[i]))
+		}
+		receiver := []proc.Action{proc.Sleep{D: 10 * sim.Millisecond}}
+		for i := 0; i < n; i++ {
+			receiver = append(receiver, proc.Recv{Ch: ch}, gap)
+		}
+		m.Spawn("rx", proc.Script(receiver...))
+		if res := m.Run(10 * sim.Second); res.Custom["truncated"] != 0 {
+			t.Fatal("run truncated")
+		}
+		if done[0] >= 10*sim.Millisecond {
+			t.Fatalf("first sender blocked (completed at %v)", done[0])
+		}
+		for i := 2; i < n; i++ {
+			if !(done[i-1] < done[i]) {
+				t.Fatalf("senders completed at %v: sender %d not after sender %d", done, i, i-1)
+			}
+		}
+		if ch.Senders.Len() != 0 || ch.Queued != 0 {
+			t.Fatalf("%d senders and %d messages left", ch.Senders.Len(), ch.Queued)
+		}
+	})
+}
+
 func TestBarrierSynchronises(t *testing.T) {
 	spec := machine.IntelXeon6130(2)
 	m := newMachine(t, cfs.Default(), governor.Schedutil{}, spec)

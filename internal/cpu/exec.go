@@ -323,8 +323,8 @@ func (m *Machine) advance(t *proc.Task, c machine.CoreID) {
 			t.Now = m.eng.Now()
 			a = t.Behavior(t, m.rng)
 		}
-		// The pointer arms are a behaviour's owned Compute and Sleep
-		// (see proc.Action): each is read here, once, before the
+		// The pointer arms are a behaviour's owned Compute, Sleep and
+		// Fork (see proc.Action): each is read here, once, before the
 		// behaviour runs again.
 		switch act := a.(type) {
 		case proc.Compute:
@@ -338,10 +338,9 @@ func (m *Machine) advance(t *proc.Task, c machine.CoreID) {
 			m.sleep(t, c, act.D)
 			return
 		case proc.Fork:
-			child := m.newTask(act.Name, act.Behavior, t)
-			t.LiveChildren++
-			m.placeFork(t, c, child)
-			// Parent continues; the fork cost was charged as cycles.
+			m.fork(t, c, act.Name, act.Behavior)
+		case *proc.Fork:
+			m.fork(t, c, act.Name, act.Behavior)
 		case proc.Exec:
 			// sched_exec: the task re-runs core selection at its cheapest
 			// migration point and may move (§2.1 lists exec among CFS's
@@ -377,6 +376,14 @@ func (m *Machine) advance(t *proc.Task, c machine.CoreID) {
 			panic(fmt.Sprintf("cpu: unknown action %T", a))
 		}
 	}
+}
+
+// fork starts a child of t running b; the parent continues (the fork
+// cost is charged as cycles).
+func (m *Machine) fork(t *proc.Task, c machine.CoreID, name string, b proc.Behavior) {
+	child := m.newTask(name, b, t)
+	t.LiveChildren++
+	m.placeFork(t, c, child)
 }
 
 // addWork queues a Compute's cycles on t.
@@ -700,7 +707,7 @@ func (m *Machine) yieldIfContended(c machine.CoreID) {
 // chanSend processes a Send. It returns true if t blocked.
 func (m *Machine) chanSend(ch *proc.Chan, t *proc.Task, c machine.CoreID) bool {
 	if ch.Queued >= ch.Capacity {
-		ch.Senders = append(ch.Senders, t)
+		ch.Senders.Push(t)
 		m.taskLeaves(t, c, proc.StateBlocked)
 		return true
 	}
@@ -708,11 +715,9 @@ func (m *Machine) chanSend(ch *proc.Chan, t *proc.Task, c machine.CoreID) bool {
 	if ch.Queued > ch.HighWater {
 		ch.HighWater = ch.Queued
 	}
-	if len(ch.Receivers) > 0 {
-		r := ch.Receivers[0]
-		ch.Receivers = ch.Receivers[1:]
+	if ch.Receivers.Len() > 0 {
 		ch.Queued--
-		m.wakeBlocked(r, t, c, true)
+		m.wakeBlocked(ch.Receivers.Pop(), t, c, true)
 	}
 	return false
 }
@@ -720,16 +725,14 @@ func (m *Machine) chanSend(ch *proc.Chan, t *proc.Task, c machine.CoreID) bool {
 // chanRecv processes a Recv. It returns true if t blocked.
 func (m *Machine) chanRecv(ch *proc.Chan, t *proc.Task, c machine.CoreID) bool {
 	if ch.Queued == 0 {
-		ch.Receivers = append(ch.Receivers, t)
+		ch.Receivers.Push(t)
 		m.taskLeaves(t, c, proc.StateBlocked)
 		return true
 	}
 	ch.Queued--
-	if len(ch.Senders) > 0 {
-		s := ch.Senders[0]
-		ch.Senders = ch.Senders[1:]
+	if ch.Senders.Len() > 0 {
 		ch.Queued++
-		m.wakeBlocked(s, t, c, true)
+		m.wakeBlocked(ch.Senders.Pop(), t, c, true)
 	}
 	return false
 }

@@ -18,10 +18,8 @@ import (
 // streams stay independent of scheduling decisions; a blocking
 // proc.Send would turn the source closed-loop.
 func (m *Machine) InjectSend(ch *proc.Chan, force bool) bool {
-	if len(ch.Receivers) > 0 {
-		r := ch.Receivers[0]
-		ch.Receivers = ch.Receivers[1:]
-		m.wakeBlocked(r, nil, m.bootCore, false)
+	if ch.Receivers.Len() > 0 {
+		m.wakeBlocked(ch.Receivers.Pop(), nil, m.bootCore, false)
 		return true
 	}
 	if ch.Queued >= ch.Capacity && !force {

@@ -164,7 +164,7 @@ func fixed(v float64) uint64 {
 	if v >= 1 {
 		return one
 	}
-	return uint64(v * float64(one))
+	return uint64(float64(v * float64(one)))
 }
 
 // SetRunning records that the entity started or stopped contributing

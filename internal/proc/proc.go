@@ -149,15 +149,17 @@ func (t *Task) RecordExecution(c machine.CoreID) {
 // paper's workloads need exist; the simulator's interpreter lives in
 // internal/cpu.
 //
-// Compute and Sleep may also be returned by pointer (*Compute, *Sleep):
-// a behaviour whose cycle count or duration changes every segment keeps
-// one value of each in its closure, fills it in and returns its address,
-// so its steady-state action stream allocates nothing (boxing a fresh
-// 8-byte value into Action allocates). The interpreter reads a pointer
-// action before it calls the behaviour again and never keeps the
-// pointer, so the behaviour may overwrite the value on its next call.
-// Actions queued for later (a Script, a pending list) are read only when
-// their turn comes, so queue values there.
+// Compute, Sleep and Fork may also be returned by pointer (*Compute,
+// *Sleep, *Fork): a behaviour whose cycle count or duration changes
+// every segment keeps one value of each in its closure, fills it in and
+// returns its address, so its steady-state action stream allocates
+// nothing (boxing a fresh value into Action allocates). The interpreter
+// reads a pointer action before it calls the behaviour again and never
+// keeps the pointer, so the behaviour may overwrite the value on its
+// next call. Actions queued for later (a Script, a pending list) are
+// read only when their turn comes: queue a pointer there only to a value
+// nothing overwrites before then, such as a forked command's own record
+// holding its Fork and Computes.
 type Action interface{ isAction() }
 
 // Compute runs the given number of CPU cycles. Wall time depends on the
@@ -240,9 +242,8 @@ func Script(actions ...Action) Behavior {
 	}
 }
 
-// Once returns a behaviour that plays a single action and exits — the
-// body of every fork-storm kid. It is Script(a) minus the variadic
-// slice, which matters when a parent mints hundreds of children.
+// Once returns a behaviour that plays a single action and exits. It is
+// Script(a) minus the variadic slice.
 func Once(a Action) Behavior {
 	done := false
 	return func(t *Task, r *sim.Rand) Action {
@@ -282,18 +283,18 @@ func Repeat(n int, actions ...Action) Behavior {
 // previous one is used up; an empty sequence skips the iteration.
 func Loop(n int, gen func(i int) []Action) Behavior {
 	iter := 0
-	var pending []Action
+	var pending FIFO[Action]
 	return func(t *Task, r *sim.Rand) Action {
-		for len(pending) == 0 {
+		for pending.Len() == 0 {
 			if iter >= n {
 				return Exit{}
 			}
-			pending = gen(iter)
+			for _, a := range gen(iter) {
+				pending.Push(a)
+			}
 			iter++
 		}
-		a := pending[0]
-		pending = pending[1:]
-		return a
+		return pending.Pop()
 	}
 }
 
@@ -309,9 +310,9 @@ type Chan struct {
 	// pure measurement, maintained by the runtime, never read back into
 	// any scheduling or blocking decision.
 	HighWater int
-	// Senders and Receivers hold tasks blocked on this channel, FIFO.
-	Senders   []*Task
-	Receivers []*Task
+	// Senders and Receivers hold tasks blocked on this channel.
+	Senders   FIFO[*Task]
+	Receivers FIFO[*Task]
 }
 
 // NewChan returns a channel with the given buffer capacity (min 1).

@@ -51,13 +51,13 @@ func init() {
 func buildZiggurat(k []uint64, w, f []float64, r, v, scale float64, pdf, inv func(float64) float64) {
 	n := len(k)
 	q := v / pdf(r)
-	k[0], k[1] = uint64(r/q*scale), 0
+	k[0], k[1] = uint64(float64(r/q*scale)), 0
 	w[0], w[n-1] = q/scale, r/scale
 	f[0], f[n-1] = 1, pdf(r)
 	d, t := r, r
 	for i := n - 2; i >= 1; i-- {
 		d = inv(v/d + pdf(d))
-		k[i+1] = uint64(d / t * scale)
+		k[i+1] = uint64(float64(d / t * scale))
 		t = d
 		f[i] = pdf(d)
 		w[i] = d / scale

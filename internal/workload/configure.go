@@ -39,12 +39,14 @@ const longFactor = 30
 func (p shellProfile) install(m *cpu.Machine, scale float64) {
 	cmds := scaleCount(p.Commands, scale, 20)
 	work := jitterCycles(m, p.MeanLen, p.CV)
+	stub := nominalCycles(m, 40*sim.Microsecond)
 	think := nominalCycles(m, p.Think)
+	thinkAct := proc.Action(proc.Compute{Cycles: think})
 
 	emitted := 0
-	var pending []proc.Action
+	var pending proc.FIFO[proc.Action]
 	m.Spawn("sh", func(t *proc.Task, r *sim.Rand) proc.Action {
-		for len(pending) == 0 {
+		for pending.Len() == 0 {
 			if emitted >= cmds {
 				return proc.Exit{}
 			}
@@ -60,24 +62,15 @@ func (p shellProfile) install(m *cpu.Machine, scale float64) {
 				// fork + exec, as a real shell does: the child runs a
 				// sliver of shell stub, execs (re-running placement),
 				// then does the command's work.
-				pending = append(pending, proc.Fork{
-					Name: "cmd",
-					Behavior: proc.Script(
-						proc.Compute{Cycles: nominalCycles(m, 40*sim.Microsecond)},
-						proc.Exec{},
-						proc.Compute{Cycles: c},
-					),
-				})
+				pending.Push(&newExecKid("cmd", stub, c).fork)
 			}
 			emitted += n
 			if think > 0 && r.Float64() < 0.3 {
-				pending = append(pending, proc.Compute{Cycles: think})
+				pending.Push(thinkAct)
 			}
-			pending = append(pending, proc.WaitChildren{})
+			pending.Push(proc.WaitChildren{})
 		}
-		a := pending[0]
-		pending = pending[1:]
-		return a
+		return pending.Pop()
 	})
 }
 

@@ -116,6 +116,7 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 		work := jitterCycles(m, us(g.ComputeUS), g.ComputeCV)
 		sleep := sim.NewLogNormal(us(g.SleepUS), maxf(g.SleepCV, 0.2))
 		nominal := m.Spec().Nominal
+		kidName := g.Name + "-kid"
 
 		mk := func() proc.Behavior {
 			left := iters
@@ -123,7 +124,7 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 			state := 0
 			var burstStart sim.Time
 			var burstIdeal sim.Duration
-			var pending []proc.Action
+			var pending proc.FIFO[proc.Action]
 			var burst proc.Compute // owned actions (see proc.Action)
 			var wait proc.Sleep
 			return func(t *proc.Task, r *sim.Rand) proc.Action {
@@ -131,10 +132,8 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 					started = true
 					return proc.Sleep{D: us(g.StartIdleUS)}
 				}
-				if len(pending) > 0 {
-					a := pending[0]
-					pending = pending[1:]
-					return a
+				if pending.Len() > 0 {
+					return pending.Pop()
 				}
 				if left <= 0 {
 					return proc.Exit{}
@@ -142,18 +141,15 @@ func (s *CustomSpec) build(m *cpu.Machine, scale float64) {
 				if g.ForkChildren > 0 {
 					left--
 					for i := 0; i < g.ForkChildren; i++ {
-						pending = append(pending, proc.Fork{
-							Name:     g.Name + "-kid",
-							Behavior: proc.Once(proc.Compute{Cycles: work(r)}),
-						})
+						pending.Push(&newKid(kidName, work(r)).fork)
 					}
-					pending = append(pending, proc.WaitChildren{})
+					pending.Push(proc.WaitChildren{})
 					if g.SleepUS > 0 {
-						pending = append(pending, proc.Sleep{D: sleep.Draw(r)})
+						// Read before the next batch refills wait.
+						wait.D = sleep.Draw(r)
+						pending.Push(&wait)
 					}
-					a := pending[0]
-					pending = pending[1:]
-					return a
+					return pending.Pop()
 				}
 				switch state {
 				case 0:

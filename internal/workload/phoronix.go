@@ -60,24 +60,19 @@ func (p ptsProfile) installStorm(m *cpu.Machine, scale float64, paperSecs float6
 	work := jitterCycles(m, p.StormTask, maxf(p.BurstCV, 0.2))
 
 	batch := 0
-	var pending []proc.Action
+	var pending proc.FIFO[proc.Action]
 	m.Spawn("dispatcher", func(t *proc.Task, r *sim.Rand) proc.Action {
-		for len(pending) == 0 {
+		for pending.Len() == 0 {
 			if batch >= batches {
 				return proc.Exit{}
 			}
 			batch++
 			for i := 0; i < p.Storm; i++ {
-				pending = append(pending, proc.Fork{
-					Name:     "blk",
-					Behavior: proc.Once(proc.Compute{Cycles: work(r)}),
-				})
+				pending.Push(&newKid("blk", work(r)).fork)
 			}
-			pending = append(pending, proc.WaitChildren{})
+			pending.Push(proc.WaitChildren{})
 		}
-		a := pending[0]
-		pending = pending[1:]
-		return a
+		return pending.Pop()
 	})
 }
 

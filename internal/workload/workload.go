@@ -102,6 +102,46 @@ func compute(m *cpu.Machine, d sim.Duration) proc.Action {
 	return proc.Compute{Cycles: nominalCycles(m, d)}
 }
 
+// kid is one forked short-lived child as a single owned record: the
+// Fork that starts it and the Computes it runs (see proc.Action). The
+// parent queues &k.fork, so a fork costs the record and its behaviour's
+// method value and boxes no action.
+type kid struct {
+	fork proc.Fork
+	stub proc.Compute // shell stub run before the exec
+	work proc.Compute
+	step uint8
+}
+
+// newKid returns a child that computes work cycles and exits.
+func newKid(name string, work int64) *kid {
+	k := &kid{work: proc.Compute{Cycles: work}, step: 2}
+	k.fork = proc.Fork{Name: name, Behavior: k.next}
+	return k
+}
+
+// newExecKid returns a child that forks and execs the way a shell's
+// command does: it runs stub cycles of shell, execs (re-running
+// placement), then computes work cycles and exits.
+func newExecKid(name string, stub, work int64) *kid {
+	k := newKid(name, work)
+	k.stub.Cycles, k.step = stub, 0
+	return k
+}
+
+func (k *kid) next(*proc.Task, *sim.Rand) proc.Action {
+	k.step++
+	switch k.step {
+	case 1:
+		return &k.stub
+	case 2:
+		return proc.Exec{}
+	case 3:
+		return &k.work
+	}
+	return proc.Exit{}
+}
+
 // spawnWorkers forks n identical workers from a coordinator root task and
 // waits for them, the common shape of the parallel benchmarks.
 func spawnWorkers(m *cpu.Machine, name string, n int, worker func(i int) proc.Behavior) {
