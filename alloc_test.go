@@ -20,7 +20,8 @@ import (
 // Compute, Sleep or Fork per action, records pooled one by one, and
 // channel and pending lists popped with x = x[1:], which reallocate
 // after a drain; "owned" is owned actions and fork records, slab pools
-// and proc.FIFO queues:
+// and proc.FIFO queues, with Nest's impatience counter a plain field of
+// proc.Task rather than a box allocated on a task's first placement:
 //
 //	case                    boxed             owned
 //	overload/mix-1.5-codel  59.8k / 58.8k     398 / 426
@@ -28,8 +29,8 @@ import (
 //	dacapo/h2               6294 / 6377       0 / 0
 //	nas/mg.C                6758 / 6758       0 / 0
 //	server/leveldb          609 / 709         2 / 0
-//	micro/hackbench         420k / 408k       247 / 1215
-//	configure/llvm_ninja    3594 / 5398       1220 / 2198
+//	micro/hackbench         420k / 408k       247 / 1179
+//	configure/llvm_ninja    3594 / 5398       1220 / 1645
 //
 // Each bound is at most a tenth of the boxed figure, so a behaviour
 // that boxes a fresh Compute or Sleep per segment, a pool that allocates

@@ -83,7 +83,7 @@ func runEngineown(pass *Pass) {
 			if obj := info.Defs[fd.Name]; obj != nil {
 				declOf[obj] = fd
 			}
-			if (fd.Name.Name == "RunAt" && fd.Recv != nil) || hasDirective(fd.Doc, "//own:entry") {
+			if isRunAt(fd) || hasDirective(fd.Doc, "//own:entry") {
 				isEntry[fd] = true
 			}
 		}

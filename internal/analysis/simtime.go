@@ -48,7 +48,7 @@ func runSimtime(pass *Pass) {
 			return true
 		}
 		pass.Reportf(sel.Pos(),
-			"wall clock leaks into simulation: time.%s is forbidden here; use the sim.Engine clock (Now/At/After) so runs replay byte-identically", name)
+			"wall clock leaks into simulation: time.%s is forbidden here; use the sim.Engine clock (Now, PostRun, Arm) so runs replay byte-identically", name)
 		return true
 	})
 }

@@ -116,20 +116,6 @@ func (cs coreSet) remove(c machine.CoreID) {
 // socket returns socket s's members.
 func (cs coreSet) socket(s int) sched.Mask { return cs.words[s*cs.mw : (s+1)*cs.mw] }
 
-// taskData is Nest's per-task state.
-type taskData struct {
-	impatience int
-}
-
-func dataOf(t *proc.Task) *taskData {
-	if d, ok := t.SchedData.(*taskData); ok {
-		return d
-	}
-	d := &taskData{}
-	t.SchedData = d
-	return d
-}
-
 // New returns a Nest policy. Zero-valued Table 1 parameters take their
 // defaults; toggles are honoured as given.
 func New(cfg Config) *Policy {
@@ -411,8 +397,7 @@ func (p *Policy) selectCore(m sched.Machine, t *proc.Task, ref machine.CoreID, f
 		}
 	}
 
-	td := dataOf(t)
-	impatient := !p.cfg.DisableImpatience && td.impatience >= p.cfg.RImpatient
+	impatient := !p.cfg.DisableImpatience && t.Impatience >= p.cfg.RImpatient
 
 	if !impatient {
 		if c, ok := p.searchPrimary(m, ref, &examined); ok {
@@ -427,7 +412,7 @@ func (p *Policy) selectCore(m sched.Machine, t *proc.Task, ref machine.CoreID, f
 		reason := "promoted"
 		if impatient {
 			reason = "impatient"
-			td.impatience = 0
+			t.Impatience = 0
 			p.addPrimary(c, now, "impatient")
 		} else {
 			p.addPrimary(c, now, "promote")
@@ -441,7 +426,7 @@ func (p *Policy) selectCore(m sched.Machine, t *proc.Task, ref machine.CoreID, f
 	if impatient {
 		reason = "impatient_expand"
 		p.addPrimary(c, now, "impatient")
-		td.impatience = 0
+		t.Impatience = 0
 	} else if p.cfg.DisableReserve {
 		// Ablation: without a probation nest, CFS picks join the primary
 		// directly, letting it balloon — the degradation §5.2 reports.
@@ -471,16 +456,15 @@ func (p *Policy) SelectCoreWakeup(m sched.Machine, t *proc.Task, wakerCore machi
 	}
 	p.ensure(m, ref)
 	if !p.cfg.DisableImpatience && t.Last != proc.NoCore {
-		td := dataOf(t)
 		if m.IsIdle(t.Last) {
-			td.impatience = 0
+			t.Impatience = 0
 		} else {
-			td.impatience++
-			if td.impatience == p.cfg.RImpatient {
+			t.Impatience++
+			if t.Impatience == p.cfg.RImpatient {
 				if h := p.h; h.Enabled() {
 					h.Emit(obs.ImpatienceTrip{
 						T: m.Now(), Task: int(t.ID), TaskName: t.Name,
-						Count: td.impatience,
+						Count: t.Impatience,
 					})
 				}
 			}

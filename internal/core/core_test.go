@@ -196,9 +196,8 @@ func TestImpatienceExpandsNest(t *testing.T) {
 	if p.InPrimary(c1) {
 		t.Fatalf("core %d joined primary before the task was impatient", c1)
 	}
-	td := task.SchedData.(*taskData)
-	if td.impatience != 1 {
-		t.Fatalf("impatience = %d, want 1", td.impatience)
+	if task.Impatience != 1 {
+		t.Fatalf("impatience = %d, want 1", task.Impatience)
 	}
 	// The task bounced: it wakes again and finds core 2 busy a second
 	// time (RImpatient = 2) — now impatient, so the chosen core must
@@ -209,8 +208,8 @@ func TestImpatienceExpandsNest(t *testing.T) {
 	if !p.InPrimary(c2) {
 		t.Fatalf("impatient task's core %d not added to primary", c2)
 	}
-	if td.impatience != 0 {
-		t.Fatalf("impatience not reset: %d", td.impatience)
+	if task.Impatience != 0 {
+		t.Fatalf("impatience not reset: %d", task.Impatience)
 	}
 }
 

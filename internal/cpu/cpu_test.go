@@ -23,6 +23,11 @@ func newMachine(t *testing.T, pol sched.Policy, gov governor.Governor, spec *mac
 	return New(Config{Spec: spec, Gov: gov, Policy: pol, Seed: 1})
 }
 
+// fn adapts a closure to sim.Runner so tests can post inline bodies.
+type fn func()
+
+func (f fn) RunAt(sim.Time) { f() }
+
 // computeFor returns a behaviour that computes d at nominal and exits.
 func computeFor(spec *machine.Spec, d sim.Duration) proc.Behavior {
 	return proc.Script(proc.Compute{Cycles: proc.Cycles(d, spec.Nominal)})

@@ -296,7 +296,7 @@ func (m *Machine) scheduleCompletion(c machine.CoreID) {
 		return
 	}
 	d := proc.TimeFor(t.Remaining, m.effMHz(c))
-	m.eng.ArmAfter(&cs.completion, d, &cs.comp)
+	m.eng.Arm(&cs.completion, m.eng.Now()+d, &cs.comp)
 }
 
 func (m *Machine) onComplete(c machine.CoreID) {

@@ -43,10 +43,10 @@ func hotplugUnderLoad(t *testing.T, pol sched.Policy) (*Machine, *invariant.Chec
 	// Offline a whole physical core (both hyperthreads) plus a neighbour
 	// once the load is up; bring one back while the run is still draining.
 	sib := spec.Topo.Sibling(2)
-	m.Engine().At(4*sim.Millisecond, func() { m.OfflineCore(2) })
-	m.Engine().At(4*sim.Millisecond, func() { m.OfflineCore(sib) })
-	m.Engine().At(5*sim.Millisecond, func() { m.OfflineCore(3) })
-	m.Engine().At(12*sim.Millisecond, func() { m.OnlineCore(2) })
+	m.Engine().PostRun(4*sim.Millisecond, fn(func() { m.OfflineCore(2) }))
+	m.Engine().PostRun(4*sim.Millisecond, fn(func() { m.OfflineCore(sib) }))
+	m.Engine().PostRun(5*sim.Millisecond, fn(func() { m.OfflineCore(3) }))
+	m.Engine().PostRun(12*sim.Millisecond, fn(func() { m.OnlineCore(2) }))
 
 	res := m.Run(5 * sim.Second)
 	if res == nil {
@@ -100,12 +100,12 @@ func TestOfflineCoreCarriesNoLoad(t *testing.T) {
 	m := New(Config{Spec: spec, Gov: governor.Schedutil{}, Policy: cfs.Default(), Seed: 1, Check: check})
 	busy := m.Spawn("busy", proc.Once(proc.Compute{Cycles: proc.Cycles(600*sim.Millisecond, spec.Nominal)}))
 	victim := machine.CoreID(-1)
-	m.Engine().At(10*sim.Millisecond, func() {
+	m.Engine().PostRun(10*sim.Millisecond, fn(func() {
 		victim = busy.Cur
 		m.OfflineCore(victim)
-	})
+	}))
 	checked := false
-	m.Engine().At(200*sim.Millisecond, func() {
+	m.Engine().PostRun(200*sim.Millisecond, fn(func() {
 		checked = true
 		cs := &m.cores[victim]
 		if u, hw := cs.util.Level(), cs.hwUtil.Level(); u != 0 || hw != 0 {
@@ -114,7 +114,7 @@ func TestOfflineCoreCarriesNoLoad(t *testing.T) {
 		if l := m.LoadAvg(victim); l != 0 {
 			t.Errorf("offline core %d has LoadAvg %g, want 0", victim, l)
 		}
-	})
+	}))
 	m.Run(sim.Second)
 	if victim < 0 || !checked {
 		t.Fatal("the offline or the probe never ran")
@@ -150,8 +150,8 @@ func TestThrottleCapsFrequencyUnderCheck(t *testing.T) {
 	check := invariant.New()
 	m := New(Config{Spec: spec, Gov: governor.Performance{}, Policy: cfs.Default(), Seed: 1, Check: check})
 	spawnForkStorm(m, spec, 8, 20*sim.Millisecond)
-	m.Engine().At(4*sim.Millisecond, func() { m.ThrottleSocket(0, 1800) })
-	m.Engine().At(30*sim.Millisecond, func() { m.ThrottleSocket(0, 0) })
+	m.Engine().PostRun(4*sim.Millisecond, fn(func() { m.ThrottleSocket(0, 1800) }))
+	m.Engine().PostRun(30*sim.Millisecond, fn(func() { m.ThrottleSocket(0, 0) }))
 	m.Run(5 * sim.Second)
 	// The freq_above_cap invariant swept every event during the throttle
 	// window; zero violations means every grant respected the cap.

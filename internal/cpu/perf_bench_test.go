@@ -138,15 +138,15 @@ func BenchmarkEngineOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
 		r := &engineBenchRunner{e: e}
-		e.ArmAfter(&r.ev, sim.Microsecond, r)
+		e.Arm(&r.ev, sim.Microsecond, r)
 		e.Run(0)
 	}
 }
 
 // engineBenchRunner re-arms its own in-place Event until 100k firings:
-// the closure-free posting pattern the runtime's hot paths use. The
-// whole chain allocates a handful of objects (the runner, one engine
-// node slab), independent of the event count.
+// the posting pattern the runtime's hot paths use. The whole chain
+// allocates a handful of objects (the runner, one engine node slab),
+// independent of the event count.
 type engineBenchRunner struct {
 	e  *sim.Engine
 	ev sim.Event
@@ -156,27 +156,6 @@ type engineBenchRunner struct {
 func (r *engineBenchRunner) RunAt(now sim.Time) {
 	r.n++
 	if r.n < 100000 {
-		r.e.ArmAfter(&r.ev, sim.Microsecond, r)
-	}
-}
-
-// BenchmarkEnginePost is BenchmarkEngineOnly on the closure Post path:
-// the same chain of self-rescheduling callbacks, but each link is a
-// fresh closure. The allocs/op gap between the two benchmarks is the
-// per-event cost the Runner API removes.
-func BenchmarkEnginePost(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine()
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < 100000 {
-				e.PostAfter(sim.Microsecond, tick)
-			}
-		}
-		e.PostAfter(sim.Microsecond, tick)
-		e.Run(0)
+		r.e.Arm(&r.ev, now+sim.Microsecond, r)
 	}
 }

@@ -62,7 +62,7 @@ func TestPlacementStateSurvivesEveryMaskWrite(t *testing.T) {
 	// blocks in a sleep, runs again and exits.
 	var a machine.CoreID
 	var blocker *proc.Task
-	eng.At(10*sim.Millisecond, func() {
+	eng.PostRun(10*sim.Millisecond, fn(func() {
 		a = idleCore(t, m, 0)
 		n := running(0)
 		blocker = m.newTask("b", proc.Script(
@@ -74,76 +74,76 @@ func TestPlacementStateSurvivesEveryMaskWrite(t *testing.T) {
 		if !claimedBit(m, a) || running(0) != n+1 {
 			t.Errorf("after dispatch: claimed %v, socket count %d, want true and %d", claimedBit(m, a), running(0), n+1)
 		}
-	})
-	eng.At(10*sim.Millisecond+100*sim.Microsecond, func() {
+	}))
+	eng.PostRun(10*sim.Millisecond+100*sim.Microsecond, fn(func() {
 		if claimedBit(m, a) || idleBit(m, a) || blocker.Cur != a {
 			t.Errorf("after scheduleIn: claimed %v, idle %v, task on %d", claimedBit(m, a), idleBit(m, a), blocker.Cur)
 		}
-	})
-	eng.At(11*sim.Millisecond+500*sim.Microsecond, func() {
+	}))
+	eng.PostRun(11*sim.Millisecond+500*sim.Microsecond, fn(func() {
 		if blocker.State != proc.StateSleeping || !idleBit(m, a) {
 			t.Errorf("after the block: task %v, idle bit %v", blocker.State, idleBit(m, a))
 		}
-	})
+	}))
 
 	// Two tasks on core b: the waiter moves by the Smove timer to an idle
 	// core c of the same socket.
 	var b, c machine.CoreID
 	var waiter *proc.Task
-	eng.At(20*sim.Millisecond, func() {
+	eng.PostRun(20*sim.Millisecond, fn(func() {
 		b = idleCore(t, m, 1)
 		m.dispatch(compute(10*sim.Millisecond), b)
 		waiter = compute(10 * sim.Millisecond)
 		m.dispatch(waiter, b)
-	})
-	eng.At(20*sim.Millisecond+100*sim.Microsecond, func() {
+	}))
+	eng.PostRun(20*sim.Millisecond+100*sim.Microsecond, fn(func() {
 		c = idleCore(t, m, 1, b)
 		if waiter.Cur != b || running(1) < 2 {
 			t.Fatalf("waiter on %d, socket count %d", waiter.Cur, running(1))
 		}
 		m.MoveIfStillQueued(waiter, c, 50*sim.Microsecond)
-	})
-	eng.At(20*sim.Millisecond+300*sim.Microsecond, func() {
+	}))
+	eng.PostRun(20*sim.Millisecond+300*sim.Microsecond, fn(func() {
 		if waiter.Cur != c || idleBit(m, c) {
 			t.Errorf("Smove timer: waiter on %d, idle bit of %d %v", waiter.Cur, c, idleBit(m, c))
 		}
-	})
+	}))
 
 	// Two more tasks on one core: a balance pull (newidle or periodic)
 	// takes the waiter off it.
 	balances := int64(0)
-	eng.At(40*sim.Millisecond, func() {
+	eng.PostRun(40*sim.Millisecond, fn(func() {
 		d := idleCore(t, m, 0)
 		m.dispatch(compute(20*sim.Millisecond), d)
 		m.dispatch(compute(20*sim.Millisecond), d)
 		balances = m.res.Counters.LoadBalances
-	})
-	eng.At(49*sim.Millisecond, func() {
+	}))
+	eng.PostRun(49*sim.Millisecond, fn(func() {
 		if m.res.Counters.LoadBalances == balances {
 			t.Error("no balance pull by 49ms")
 		}
-	})
+	}))
 
 	// Hotplug: offline a busy core with a waiter (evacuating both), bring
 	// it back later.
 	var hot machine.CoreID
-	eng.At(60*sim.Millisecond, func() {
+	eng.PostRun(60*sim.Millisecond, fn(func() {
 		hot = idleCore(t, m, 1)
 		m.dispatch(compute(10*sim.Millisecond), hot)
 		m.dispatch(compute(10*sim.Millisecond), hot)
-	})
-	eng.At(60*sim.Millisecond+100*sim.Microsecond, func() {
+	}))
+	eng.PostRun(60*sim.Millisecond+100*sim.Microsecond, fn(func() {
 		m.OfflineCore(hot)
 		if idleBit(m, hot) || claimedBit(m, hot) {
 			t.Errorf("offline core %d reads idle %v, claimed %v", hot, idleBit(m, hot), claimedBit(m, hot))
 		}
-	})
-	eng.At(80*sim.Millisecond, func() {
+	}))
+	eng.PostRun(80*sim.Millisecond, fn(func() {
 		m.OnlineCore(hot)
 		if !idleBit(m, hot) {
 			t.Errorf("core %d back online but not idle", hot)
 		}
-	})
+	}))
 
 	m.Run(sim.Second)
 	if anchor.State != proc.StateExited || blocker.State != proc.StateExited {

@@ -50,7 +50,7 @@ func TestSettledSetSurvivesEveryUnsettlingEvent(t *testing.T) {
 	}
 	var home, away int // the anchor's socket and the other one
 
-	eng.At(120*sim.Millisecond, func() {
+	eng.PostRun(120*sim.Millisecond, fn(func() {
 		if m.SettledCount() == 0 {
 			t.Fatal("no core settled by 120ms")
 		}
@@ -61,7 +61,7 @@ func TestSettledSetSurvivesEveryUnsettlingEvent(t *testing.T) {
 		if isSettled(m, a) {
 			t.Errorf("dispatch left core %d settled", a)
 		}
-	})
+	}))
 
 	// Two tasks on one core of the clean socket: the waiter is pulled by
 	// the next tick's balancePass onto a settled core of the same die
@@ -69,47 +69,47 @@ func TestSettledSetSurvivesEveryUnsettlingEvent(t *testing.T) {
 	var before []bool
 	var thief *proc.Task
 	balances := int64(0)
-	eng.At(140*sim.Millisecond, func() {
+	eng.PostRun(140*sim.Millisecond, fn(func() {
 		b := settledPair(t, m, away)
 		m.dispatch(compute(20*sim.Millisecond), b)
 		thief = compute(20 * sim.Millisecond)
 		m.dispatch(thief, b)
 		balances = m.res.Counters.LoadBalances
-	})
-	eng.At(141*sim.Millisecond, func() {
+	}))
+	eng.PostRun(141*sim.Millisecond, fn(func() {
 		before = make([]bool, len(m.cores))
 		for i := range m.cores {
 			before[i] = isSettled(m, machine.CoreID(i))
 		}
-	})
-	eng.At(149*sim.Millisecond, func() {
+	}))
+	eng.PostRun(149*sim.Millisecond, fn(func() {
 		if m.res.Counters.LoadBalances == balances {
 			t.Fatal("no balancePass pull by 149ms")
 		}
 		if c := thief.Cur; c == proc.NoCore || !before[c] {
 			t.Errorf("waiter pulled onto core %d, want a core settled before the pull", c)
 		}
-	})
+	}))
 
-	eng.At(160*sim.Millisecond, func() {
+	eng.PostRun(160*sim.Millisecond, fn(func() {
 		c := settledPair(t, m, home)
 		m.startSpin(c, 2*sim.Millisecond, spinUtilSpeedShift)
 		if isSettled(m, c) {
 			t.Errorf("spin start left core %d settled", c)
 		}
-	})
+	}))
 
 	var hot machine.CoreID
-	eng.At(180*sim.Millisecond, func() {
+	eng.PostRun(180*sim.Millisecond, fn(func() {
 		hot = settledPair(t, m, home)
 		m.OfflineCore(hot)
 		if isSettled(m, hot) {
 			t.Errorf("OfflineCore left core %d settled", hot)
 		}
-	})
-	eng.At(200*sim.Millisecond, func() { m.OnlineCore(hot) })
+	}))
+	eng.PostRun(200*sim.Millisecond, fn(func() { m.OnlineCore(hot) }))
 
-	eng.At(220*sim.Millisecond, func() {
+	eng.PostRun(220*sim.Millisecond, fn(func() {
 		settledPair(t, m, away)
 		m.ThrottleSocket(away, spec.Nominal-500)
 		for _, c := range m.topo.SocketCores(away) {
@@ -117,26 +117,26 @@ func TestSettledSetSurvivesEveryUnsettlingEvent(t *testing.T) {
 				t.Errorf("ThrottleSocket left core %d settled", c)
 			}
 		}
-	})
-	eng.At(240*sim.Millisecond, func() {
+	}))
+	eng.PostRun(240*sim.Millisecond, fn(func() {
 		settledPair(t, m, away) // re-settled at the throttled floor
 		m.ThrottleSocket(away, 0)
-	})
+	}))
 
-	eng.At(300*sim.Millisecond, func() {
+	eng.PostRun(300*sim.Millisecond, fn(func() {
 		if !isSettled(m, hot) {
 			t.Errorf("core %d did not settle again after coming back online", hot)
 		}
-	})
+	}))
 
 	// CFS forks onto a long-idle core, here a settled one.
-	eng.At(320*sim.Millisecond, func() {
+	eng.PostRun(320*sim.Millisecond, fn(func() {
 		n := m.SettledCount()
 		m.InjectLoad(2, sim.Millisecond)
 		if m.SettledCount() >= n {
 			t.Errorf("InjectLoad left the settled count at %d", n)
 		}
-	})
+	}))
 
 	m.Run(sim.Second)
 	if anchor.State != proc.StateExited {
@@ -173,7 +173,7 @@ func TestActiveBarrierArmsNoCompletion(t *testing.T) {
 	const probes = 5
 	for k := 0; k < probes; k++ {
 		at := sim.Time(6+5*k)*sim.Millisecond + sim.Microsecond
-		m.Engine().At(at, func() {
+		m.Engine().PostRun(at, fn(func() {
 			spinners := 0
 			for i := range m.cores {
 				cs := &m.cores[i]
@@ -193,7 +193,7 @@ func TestActiveBarrierArmsNoCompletion(t *testing.T) {
 			if got, want := m.Engine().Pending(), 2+probes-1-k; got != want {
 				t.Errorf("t=%v: %d events pending, want %d", m.Now(), got, want)
 			}
-		})
+		}))
 	}
 
 	res := m.Run(sim.Second)
@@ -225,17 +225,17 @@ func TestRanCoreSettlesWhenIdle(t *testing.T) {
 	worker := m.Spawn("worker", computeFor(spec, 40*sim.Millisecond))
 	eng := m.Engine()
 	var exited sim.Time
-	var poll func()
+	var poll fn
 	poll = func() {
 		if worker.State == proc.StateExited {
 			exited = m.Now()
 			return
 		}
-		eng.After(sim.Millisecond, poll)
+		eng.PostRunAfter(sim.Millisecond, poll)
 	}
-	eng.After(sim.Millisecond, poll)
+	eng.PostRunAfter(sim.Millisecond, poll)
 	var core machine.CoreID
-	eng.At(200*sim.Millisecond, func() {
+	eng.PostRun(200*sim.Millisecond, fn(func() {
 		if exited == 0 {
 			t.Fatal("worker still running at 200ms")
 		}
@@ -243,8 +243,8 @@ func TestRanCoreSettlesWhenIdle(t *testing.T) {
 		if isSettled(m, core) {
 			t.Errorf("core %d settled %v after its task exited, with its load still visible", core, m.Now()-exited)
 		}
-	})
-	eng.At(1500*sim.Millisecond, func() {
+	}))
+	eng.PostRun(1500*sim.Millisecond, fn(func() {
 		if idle := m.Now() - exited; idle < 33*pelt.HalfLife+sim.Tick {
 			t.Fatalf("only %v idle; the check needs 33 half-lives", idle)
 		}
@@ -252,7 +252,7 @@ func TestRanCoreSettlesWhenIdle(t *testing.T) {
 			_, _, load := m.CoreLoad(core)
 			t.Errorf("core %d not settled %v after its task exited (load %g)", core, m.Now()-exited, load)
 		}
-	})
+	}))
 	m.Run(3 * sim.Second)
 	if n := check.Total(); n != 0 {
 		t.Fatalf("%d invariant violations, first: %v", n, check.Violations()[0])

@@ -96,35 +96,51 @@ type Plan struct {
 func (p *Plan) Empty() bool { return p == nil || len(p.Items) == 0 }
 
 // Apply schedules every item on the injector's engine. Call once,
-// before the run starts.
+// before the run starts. The engine fires one instant's events in
+// posting order, so posting in list order keeps same-instant items in
+// list order.
 func (p *Plan) Apply(inj Injector) {
 	if p.Empty() {
 		return
 	}
-	eng := inj.Engine()
+	acts := make([]action, 0, 2*len(p.Items))
 	for _, it := range p.Items {
-		it := it
-		switch it.Kind {
-		case Offline:
-			eng.At(it.At, func() { inj.OfflineCore(it.Core) })
-			if it.Dur > 0 {
-				eng.At(it.At+it.Dur, func() { inj.OnlineCore(it.Core) })
+		acts = append(acts, action{inj, it})
+		if it.Dur > 0 && (it.Kind == Offline || it.Kind == Throttle || it.Kind == Jitter) {
+			rev := it // ends the fault at At+Dur: online, unthrottle, jitter off
+			rev.At, rev.Cap, rev.Amp = it.At+it.Dur, 0, 0
+			if it.Kind == Offline {
+				rev.Kind = Online
 			}
-		case Online:
-			eng.At(it.At, func() { inj.OnlineCore(it.Core) })
-		case Throttle:
-			eng.At(it.At, func() { inj.ThrottleSocket(it.Socket, it.Cap) })
-			if it.Dur > 0 {
-				eng.At(it.At+it.Dur, func() { inj.ThrottleSocket(it.Socket, 0) })
-			}
-		case Jitter:
-			eng.At(it.At, func() { inj.SetTickJitter(it.Amp) })
-			if it.Dur > 0 {
-				eng.At(it.At+it.Dur, func() { inj.SetTickJitter(0) })
-			}
-		case Spike:
-			eng.At(it.At, func() { inj.InjectLoad(it.Count, it.Work) })
+			acts = append(acts, action{inj, rev})
 		}
+	}
+	eng := inj.Engine()
+	for i := range acts {
+		eng.PostRun(acts[i].it.At, &acts[i])
+	}
+}
+
+// action is one item scheduled on the engine.
+type action struct {
+	inj Injector
+	it  Item
+}
+
+// RunAt applies the item.
+func (a *action) RunAt(sim.Time) {
+	it := &a.it
+	switch it.Kind {
+	case Offline:
+		a.inj.OfflineCore(it.Core)
+	case Online:
+		a.inj.OnlineCore(it.Core)
+	case Throttle:
+		a.inj.ThrottleSocket(it.Socket, it.Cap)
+	case Jitter:
+		a.inj.SetTickJitter(it.Amp)
+	case Spike:
+		a.inj.InjectLoad(it.Count, it.Work)
 	}
 }
 

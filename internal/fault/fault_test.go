@@ -182,7 +182,9 @@ func (r *recInjector) InjectLoad(n int, w sim.Duration) { r.rec("spike %dx%d", n
 
 func TestApplySchedulesForwardAndReverse(t *testing.T) {
 	inj := &recInjector{eng: sim.NewEngine()}
-	mustParse(t, "off:c2@10ms+5ms,throttle:s0@1ms+2ms=1500MHz,jitter:@0ns+20ms=1ms,spike:@4ms=3x1ms").Apply(inj)
+	// Items at one instant apply in list order, a reverse action in
+	// the place of the item it ends.
+	mustParse(t, "off:c2@10ms+5ms,throttle:s0@1ms+2ms=1500MHz,jitter:@0ns+20ms=1ms,spike:@4ms=3x1ms,off:c3@10ms,on:c4@15ms").Apply(inj)
 	inj.eng.Run(0)
 	want := []string{
 		"0.000000s jitter 1000000",
@@ -190,7 +192,9 @@ func TestApplySchedulesForwardAndReverse(t *testing.T) {
 		"0.003000s throttle s0=0",
 		"0.004000s spike 3x1000000",
 		"0.010000s off c2",
+		"0.010000s off c3",
 		"0.015000s on c2",
+		"0.015000s on c4",
 		"0.020000s jitter 0",
 	}
 	if len(inj.calls) != len(want) {

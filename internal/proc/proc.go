@@ -92,9 +92,9 @@ type Task struct {
 	// task in the kernel.
 	Util pelt.Signal
 
-	// SchedData is per-policy scratch state (e.g. Nest's impatience
-	// counter). Policies own its type.
-	SchedData any
+	// Impatience is Nest's count of successive wakeups that found the
+	// task's previous core busy (§3.1); other policies leave it zero.
+	Impatience int
 
 	// Now is the virtual time at which the current Behavior call is
 	// made; the runtime refreshes it before every call so behaviours can

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -41,6 +42,30 @@ func TestPortableExpLog(t *testing.T) {
 			if math.IsNaN(p[0]) != math.IsNaN(p[1]) || !math.IsNaN(p[0]) && ulps(p[0], p[1]) > maxULPs {
 				t.Errorf("special value %v: portable %v, math %v", x, p[0], p[1])
 			}
+		}
+	}
+}
+
+// TestPortableCos: on amd64 math.Cos is the same pure-Go code, unfused,
+// so Cos must equal it bit for bit over a dense grid of phases and at
+// the octant boundaries, where the reduction switches polynomial and
+// sign. Elsewhere math.Cos may fuse, so only closeness is checked.
+func TestPortableCos(t *testing.T) {
+	xs := []float64{}
+	const n = 1 << 18
+	for i := 0; i < n; i++ {
+		xs = append(xs, 2*math.Pi*(float64(i)/n))
+	}
+	for k := 0; k < 8; k++ {
+		b := float64(k) * (math.Pi / 4)
+		xs = append(xs, b, math.Nextafter(b, 0), math.Nextafter(b, 7))
+	}
+	xs = append(xs, math.Nextafter(2*math.Pi, 0))
+	for _, x := range xs {
+		got, want := Cos(x), math.Cos(x)
+		if runtime.GOARCH == "amd64" && math.Float64bits(got) != math.Float64bits(want) ||
+			math.Abs(got-want) > 1e-15 {
+			t.Fatalf("Cos(%v) = %v, math.Cos %v", x, got, want)
 		}
 	}
 }

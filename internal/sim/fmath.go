@@ -2,9 +2,11 @@ package sim
 
 import "math"
 
-// Portable exp and log for the random draws: log is ported from the
-// pure-Go version in Go's math/log.go (Copyright 2009 The Go Authors;
-// BSD-style license), itself from FreeBSD's msun; exp is table-driven
+// Portable exp and log for the random draws, and cos for the diurnal
+// arrival curve: log is ported from the pure-Go version in Go's
+// math/log.go (Copyright 2009 The Go Authors; BSD-style license),
+// itself from FreeBSD's msun; cos from math/sin.go (Copyright 2011 The
+// Go Authors), itself from the Cephes library; exp is table-driven
 // (Tang, "Table-driven implementation of the exponential function in
 // IEEE floating-point arithmetic", 1989). The
 // standard library may run an assembly version, and on amd64 its Exp
@@ -115,4 +117,76 @@ func log(x float64) float64 {
 	rr := t1 + t2
 	hfsq := float64(0.5 * f * f)
 	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+rr)) + float64(k*ln2Lo))) - f)
+}
+
+// Cephes polynomial coefficients of Cos, as in Go's math/sin.go.
+var (
+	sinCoef = [...]float64{
+		1.58962301576546568060e-10, // 0x3de5d8fd1fd19ccd
+		-2.50507477628578072866e-8, // 0xbe5ae5e5a9291f5d
+		2.75573136213857245213e-6,  // 0x3ec71de3567d48a1
+		-1.98412698295895385996e-4, // 0xbf2a01a019bfdf03
+		8.33333333332211858878e-3,  // 0x3f8111111110f7d0
+		-1.66666666666666307295e-1, // 0xbfc5555555555548
+	}
+	cosCoef = [...]float64{
+		-1.13585365213876817300e-11, // 0xbda8fa49a0861a9b
+		2.08757008419747316778e-9,   // 0x3e21ee9d7b4e3f05
+		-2.75573141792967388112e-7,  // 0xbe927e4f7eac4bc6
+		2.48015872888517045348e-5,   // 0x3efa01a019c844f5
+		-1.38888888888730564116e-3,  // 0xbf56c16c16c14f91
+		4.16666666666665929218e-2,   // 0x3fa555555555554b
+	}
+)
+
+// Cos returns the cosine of x for x in [0, 2π). That is the one range
+// its caller needs: the diurnal arrival curve passes 2π·phase with
+// phase in [0, 1). So only math/sin.go's reduction-free branch is
+// ported: there are no NaN, infinity or negative-argument cases and no
+// Payne–Hanek reduction, which math.Cos only takes from 2^29 up. On
+// amd64 math.Cos runs this same pure-Go code and nothing fuses, so the
+// two agree bit for bit (TestPortableCos).
+func Cos(x float64) float64 {
+	const (
+		pi4A = 7.85398125648498535156e-1  // 0x3fe921fb40000000, Pi/4 split into three parts
+		pi4B = 3.77489470793079817668e-8  // 0x3e64442d00000000
+		pi4C = 2.69515142907905952645e-15 // 0x3ce8469898cc5170
+	)
+	j := uint64(float64(x * (4 / math.Pi))) // integer part of x/(Pi/4)
+	y := float64(j)
+	// map zeros to origin
+	if j&1 == 1 {
+		j++
+		y++
+	}
+	j &= 7 // octant
+	z := ((x - float64(y*pi4A)) - float64(y*pi4B)) - float64(y*pi4C)
+	sign := false
+	if j > 3 {
+		j -= 4
+		sign = !sign
+	}
+	if j > 1 {
+		sign = !sign
+	}
+	zz := z * z
+	if j == 1 || j == 2 {
+		y = z + float64(z*zz*horner(&sinCoef, zz))
+	} else {
+		y = 1.0 - float64(0.5*zz) + float64(zz*zz*horner(&cosCoef, zz))
+	}
+	if sign {
+		y = -y
+	}
+	return y
+}
+
+// horner evaluates the polynomial with coefficients c, highest degree
+// first, at x.
+func horner(c *[6]float64, x float64) float64 {
+	p := c[0]
+	for _, k := range c[1:] {
+		p = float64(p*x) + k
+	}
+	return p
 }

@@ -38,7 +38,7 @@ func FuzzEngineOrdering(f *testing.F) {
 		schedule = func(at Time) {
 			my := seq
 			seq++
-			eng.At(at, func() {
+			eng.PostRun(at, fn(func() {
 				fired++
 				now := eng.Now()
 				if now != at {
@@ -56,7 +56,7 @@ func FuzzEngineOrdering(f *testing.F) {
 				if b, ok := next(); ok {
 					schedule(now + Time(b%16))
 				}
-			})
+			}))
 		}
 		// Seed from the first half of the input; the second half feeds
 		// nested scheduling from inside firing events.
@@ -85,7 +85,7 @@ type oracleVM struct {
 	data []byte
 	idx  int
 	log  []string
-	evs  []*Event // handles from After, for Cancel/Reschedule ops
+	evs  []*Event // tracked handles, for Cancel and re-Arm ops
 	arm  [4]Event // persistent in-place handles for Arm ops
 	id   int
 }
@@ -138,27 +138,29 @@ func (vm *oracleVM) step() {
 		return
 	}
 	switch op % 8 {
-	case 0, 1: // fire-and-forget closure
+	case 0, 1: // fire-and-forget runner, relative delay
 		id := vm.id
 		vm.id++
-		vm.e.PostAfter(vm.delay(), func() { vm.fire(id, vm.e.Now()) })
-	case 2: // handle-returning closure
+		vm.e.PostRunAfter(vm.delay(), &vmRunner{vm: vm, id: id})
+	case 2: // arm a new tracked handle
 		id := vm.id
 		vm.id++
-		vm.evs = append(vm.evs, vm.e.After(vm.delay(), func() { vm.fire(id, vm.e.Now()) }))
+		ev := new(Event)
+		vm.e.Arm(ev, vm.e.Now()+vm.delay(), &vmRunner{vm: vm, id: id})
+		vm.evs = append(vm.evs, ev)
 	case 3: // cancel a tracked handle
 		if len(vm.evs) > 0 {
 			b, _ := vm.next()
 			i := int(b) % len(vm.evs)
 			vm.log = append(vm.log, fmt.Sprintf("c%d:%v", i, vm.e.Cancel(vm.evs[i])))
 		}
-	case 4: // reschedule a tracked handle
+	case 4: // re-arm a tracked handle, pending or fired
 		if len(vm.evs) > 0 {
 			b, _ := vm.next()
 			i := int(b) % len(vm.evs)
 			id := vm.id
 			vm.id++
-			vm.e.Reschedule(vm.evs[i], vm.e.Now()+vm.delay(), func() { vm.fire(id, vm.e.Now()) })
+			vm.e.Arm(vm.evs[i], vm.e.Now()+vm.delay(), &vmRunner{vm: vm, id: id})
 		}
 	case 5: // arm a persistent in-place handle with a pooled runner
 		b, _ := vm.next()
@@ -182,7 +184,7 @@ func (vm *oracleVM) step() {
 				vm.log = append(vm.log, "p:skip")
 				return
 			}
-			vm.e.Post(vm.e.Now()-d, func() {})
+			vm.e.PostRun(vm.e.Now()-d, fn(func() {}))
 		}()
 	}
 }
@@ -215,7 +217,7 @@ func compareOracleLogs(t *testing.T, data []byte) {
 }
 
 // FuzzEngineDifferential is the heap-vs-wheel oracle: a fuzz-derived
-// program of Post/After/Cancel/Reschedule/Arm/PostRun ops — including
+// program of PostRunAfter/Arm/Cancel/PostRun ops — including
 // past-time scheduling attempts — runs against both engines, which must
 // produce identical fire orders, cancel results, and panics.
 func FuzzEngineDifferential(f *testing.F) {

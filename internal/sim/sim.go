@@ -58,20 +58,14 @@ type Runner interface {
 	RunAt(now Time)
 }
 
-// Event is a handle to a scheduled callback that can be cancelled or
+// Event is a handle to a scheduled Runner that can be cancelled or
 // re-armed. The zero Event is valid and unscheduled: embed one in a
 // long-lived struct and arm it in place with Engine.Arm, which
-// reschedules without any allocation. Engine.At and Engine.After return
-// a freshly allocated handle for convenience; fire-and-forget callbacks
-// should use Engine.Post / Engine.PostAfter, which schedule without a
-// handle at all.
+// reschedules without any allocation. Fire-and-forget events need no
+// handle at all: post them with Engine.PostRun or Engine.PostRunAfter.
 type Event struct {
-	when Time
-	n    *node // pending entry, nil once fired or cancelled
+	n *node // pending entry, nil once fired or cancelled
 }
-
-// When returns the virtual time the event was last scheduled for.
-func (e *Event) When() Time { return e.when }
 
 // Scheduled reports whether the event is still pending.
 func (e *Event) Scheduled() bool { return e != nil && e.n != nil }
@@ -150,22 +144,20 @@ func (e *Engine) OnStep(fn func()) { e.onStep = fn }
 // Pending returns the number of pending events.
 func (e *Engine) Pending() int { return e.count }
 
-// schedule validates t and enqueues a callback (exactly one of fn and r
-// is non-nil; ev may be nil for handle-free callers).
-func (e *Engine) schedule(t Time, fn func(), r Runner, ev *Event) {
+// schedule validates t and enqueues r (ev may be nil for handle-free
+// callers).
+func (e *Engine) schedule(t Time, r Runner, ev *Event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	n := e.newNode()
 	n.when = t
 	n.seq = e.seq
-	n.fn = fn
 	n.r = r
 	n.ev = ev
 	e.seq++
 	e.count++
 	if ev != nil {
-		ev.when = t
 		ev.n = n //lint:poollife the Event handle must alias its node so Cancel/Arm can find it; every free site clears ev.n first
 	}
 	if t < e.horizon {
@@ -175,43 +167,12 @@ func (e *Engine) schedule(t Time, fn func(), r Runner, ev *Event) {
 	}
 }
 
-// At schedules fn to run at time t and returns a cancellable handle.
-// Scheduling in the past panics: it always indicates a modelling bug,
-// and silently reordering time would corrupt every metric downstream.
-func (e *Engine) At(t Time, fn func()) *Event {
-	ev := &Event{}
-	e.schedule(t, fn, nil, ev)
-	return ev
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Post schedules fn to run at time t without returning a handle. It is
-// the allocation-free path for fire-and-forget closures and fires in
-// exactly the same (when, seq) order as every other scheduling API.
-func (e *Engine) Post(t Time, fn func()) {
-	e.schedule(t, fn, nil, nil)
-}
-
-// PostAfter schedules fn to run d nanoseconds from now, without a
-// handle.
-func (e *Engine) PostAfter(d Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	e.schedule(e.now+d, fn, nil, nil)
-}
-
 // PostRun schedules r.RunAt to run at time t without a handle. Together
 // with a preallocated receiver this path performs no allocation at all.
+// Scheduling in the past panics: it always indicates a modelling bug,
+// and silently reordering time would corrupt every metric downstream.
 func (e *Engine) PostRun(t Time, r Runner) {
-	e.schedule(t, nil, r, nil)
+	e.schedule(t, r, nil)
 }
 
 // PostRunAfter schedules r.RunAt to run d nanoseconds from now, without
@@ -220,27 +181,19 @@ func (e *Engine) PostRunAfter(d Duration, r Runner) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	e.schedule(e.now+d, nil, r, nil)
+	e.schedule(e.now+d, r, nil)
 }
 
 // Arm schedules r.RunAt at time t on a caller-owned handle, first
-// cancelling ev if it is still pending — the Runner twin of Reschedule.
-// Re-arming an already-fired or zero Event works; with a long-lived ev
-// and r the whole cycle is allocation-free.
+// cancelling ev if it is still pending, so the event moves rather than
+// duplicates. Re-arming an already-fired or zero Event works; with a
+// long-lived ev and r the whole cycle is allocation-free.
 func (e *Engine) Arm(ev *Event, t Time, r Runner) {
 	e.Cancel(ev)
 	if t < e.now {
 		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", t, e.now))
 	}
-	e.schedule(t, nil, r, ev)
-}
-
-// ArmAfter arms ev to run r.RunAt d nanoseconds from now.
-func (e *Engine) ArmAfter(ev *Event, d Duration, r Runner) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	e.Arm(ev, e.now+d, r)
+	e.schedule(t, r, ev)
 }
 
 // Cancel removes a pending event. Cancelling an event that already fired
@@ -261,21 +214,10 @@ func (e *Engine) Cancel(ev *Event) bool {
 		e.freeNode(n)
 	default: // locBucket: mark dead in place; reclaimed when the bucket drains
 		n.loc = locDead
-		n.fn = nil
 		n.r = nil
 		n.ev = nil
 	}
 	return true
-}
-
-// Reschedule moves a pending event to a new time, preserving identity.
-// If the event already fired it is re-armed.
-func (e *Engine) Reschedule(ev *Event, t Time, fn func()) {
-	e.Cancel(ev)
-	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", t, e.now))
-	}
-	e.schedule(t, fn, nil, ev)
 }
 
 // ensureNear tops up the near heap from the wheel when it runs dry.
@@ -303,26 +245,12 @@ func (e *Engine) stepNear() {
 	if n.ev != nil {
 		n.ev.n = nil
 	}
-	fn, r := n.fn, n.r
+	r := n.r
 	e.freeNode(n)
-	if r != nil {
-		r.RunAt(e.now)
-	} else {
-		fn()
-	}
+	r.RunAt(e.now)
 	if e.onStep != nil {
 		e.onStep()
 	}
-}
-
-// Step processes the next event. It returns false when no events are
-// pending.
-func (e *Engine) Step() bool {
-	if !e.ensureNear() {
-		return false
-	}
-	e.stepNear()
-	return true
 }
 
 // RequestStop asks the run loop to stop. It is the only engine method

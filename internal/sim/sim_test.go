@@ -5,12 +5,17 @@ import (
 	"testing/quick"
 )
 
+// fn adapts a closure to Runner so tests can post inline bodies.
+type fn func()
+
+func (f fn) RunAt(Time) { f() }
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.PostRun(30, fn(func() { got = append(got, 3) }))
+	e.PostRun(10, fn(func() { got = append(got, 1) }))
+	e.PostRun(20, fn(func() { got = append(got, 2) }))
 	e.Run(0)
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +33,7 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.PostRun(5, fn(func() { got = append(got, i) }))
 	}
 	e.Run(0)
 	for i := range got {
@@ -41,23 +46,24 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 func TestEngineAfter(t *testing.T) {
 	e := NewEngine()
 	var fired Time = -1
-	e.At(100, func() {
-		e.After(50, func() { fired = e.Now() })
-	})
+	e.PostRun(100, fn(func() {
+		e.PostRunAfter(50, fn(func() { fired = e.Now() }))
+	}))
 	e.Run(0)
 	if fired != 150 {
-		t.Fatalf("After fired at %d, want 150", fired)
+		t.Fatalf("PostRunAfter fired at %d, want 150", fired)
 	}
 }
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	ev := e.At(10, func() { ran = true })
-	if !e.Cancel(ev) {
+	var ev Event
+	e.Arm(&ev, 10, fn(func() { ran = true }))
+	if !e.Cancel(&ev) {
 		t.Fatal("Cancel returned false for pending event")
 	}
-	if e.Cancel(ev) {
+	if e.Cancel(&ev) {
 		t.Fatal("double Cancel returned true")
 	}
 	e.Run(0)
@@ -70,9 +76,9 @@ func TestEngineCancelNested(t *testing.T) {
 	// Cancelling an event from inside another event at the same instant.
 	e := NewEngine()
 	ran := false
-	var victim *Event
-	e.At(10, func() { e.Cancel(victim) })
-	victim = e.At(10, func() { ran = true })
+	var victim Event
+	e.PostRun(10, fn(func() { e.Cancel(&victim) }))
+	e.Arm(&victim, 10, fn(func() { ran = true }))
 	e.Run(0)
 	if ran {
 		t.Fatal("event cancelled at its own instant still ran")
@@ -82,14 +88,16 @@ func TestEngineCancelNested(t *testing.T) {
 func TestEngineReschedule(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	ev := e.At(10, func() { at = e.Now() })
-	e.Reschedule(ev, 40, func() { at = e.Now() })
+	// Arm on a pending handle moves the event.
+	var ev Event
+	e.Arm(&ev, 10, fn(func() { at = e.Now() }))
+	e.Arm(&ev, 40, fn(func() { at = e.Now() }))
 	e.Run(0)
 	if at != 40 {
 		t.Fatalf("rescheduled event fired at %d, want 40", at)
 	}
 	// Re-arming an already-fired event must work too.
-	e.Reschedule(ev, 60, func() { at = e.Now() })
+	e.Arm(&ev, 60, fn(func() { at = e.Now() }))
 	e.Run(0)
 	if at != 60 {
 		t.Fatalf("re-armed event fired at %d, want 60", at)
@@ -99,12 +107,12 @@ func TestEngineReschedule(t *testing.T) {
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func()
+	var tick fn
 	tick = func() {
 		count++
-		e.After(10, tick)
+		e.PostRunAfter(10, tick)
 	}
-	e.After(10, tick)
+	e.PostRunAfter(10, tick)
 	e.Run(100)
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -119,23 +127,23 @@ func TestEngineRunLimit(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.PostRun(10, fn(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.PostRun(5, fn(func() {}))
+	}))
 	e.Run(0)
 }
 
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	var tick func()
-	tick = func() { n++; e.After(1, tick) }
-	e.After(1, tick)
+	var tick fn
+	tick = func() { n++; e.PostRunAfter(1, tick) }
+	e.PostRunAfter(1, tick)
 	e.RunUntil(func() bool { return n >= 7 })
 	if n != 7 {
 		t.Fatalf("n = %d, want 7", n)
@@ -261,13 +269,12 @@ func TestEngineHeapProperty(t *testing.T) {
 		r := NewRand(seed)
 		e := NewEngine()
 		var fired []Time
-		var events []*Event
-		for i := 0; i < int(n)+1; i++ {
+		events := make([]Event, int(n)+1)
+		for i := range events {
 			d := Duration(r.Intn(1000))
-			ev := e.After(d, func() { fired = append(fired, e.Now()) })
-			events = append(events, ev)
-			if r.Intn(4) == 0 && len(events) > 1 {
-				e.Cancel(events[r.Intn(len(events))])
+			e.Arm(&events[i], e.Now()+d, fn(func() { fired = append(fired, e.Now()) }))
+			if r.Intn(4) == 0 && i > 0 {
+				e.Cancel(&events[r.Intn(i+1)])
 			}
 		}
 		e.Run(0)
@@ -286,7 +293,7 @@ func TestEngineHeapProperty(t *testing.T) {
 func TestEngineStepsCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.At(Time(i), func() {})
+		e.PostRun(Time(i), fn(func() {}))
 	}
 	e.Run(0)
 	if e.Steps() != 5 {
@@ -295,16 +302,17 @@ func TestEngineStepsCount(t *testing.T) {
 }
 
 func TestPostOrderingInterleavesWithAt(t *testing.T) {
-	// Handle-free Post events share the sequence counter with At events,
-	// so same-instant events fire in exact scheduling order regardless of
-	// which API scheduled them.
+	// Handle-free PostRun events share the sequence counter with Arm
+	// events, so same-instant events fire in exact scheduling order
+	// regardless of which API scheduled them.
 	e := NewEngine()
 	var order []int
-	e.At(10, func() { order = append(order, 0) })
-	e.Post(10, func() { order = append(order, 1) })
-	e.At(10, func() { order = append(order, 2) })
-	e.PostAfter(10, func() { order = append(order, 3) })
-	e.Post(5, func() { order = append(order, 4) })
+	var evs [2]Event
+	e.Arm(&evs[0], 10, fn(func() { order = append(order, 0) }))
+	e.PostRun(10, fn(func() { order = append(order, 1) }))
+	e.Arm(&evs[1], 10, fn(func() { order = append(order, 2) }))
+	e.PostRunAfter(10, fn(func() { order = append(order, 3) }))
+	e.PostRun(5, fn(func() { order = append(order, 4) }))
 	e.Run(0)
 	want := []int{4, 0, 1, 2, 3}
 	for i := range want {
@@ -317,10 +325,10 @@ func TestPostOrderingInterleavesWithAt(t *testing.T) {
 func TestPostAfterNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for negative PostAfter delay")
+			t.Fatal("expected panic for negative PostRunAfter delay")
 		}
 	}()
-	NewEngine().PostAfter(-1, func() {})
+	NewEngine().PostRunAfter(-1, fn(func() {}))
 }
 
 func TestCancelAmongPostedEvents(t *testing.T) {
@@ -331,17 +339,18 @@ func TestCancelAmongPostedEvents(t *testing.T) {
 		r := NewRand(seed)
 		e := NewEngine()
 		var fired []Time
-		var events []*Event
+		events := make([]Event, 0, int(n)+4)
 		cancelled := 0
 		for i := 0; i < int(n)+4; i++ {
 			d := Duration(r.Intn(500))
 			if r.Intn(2) == 0 {
-				e.PostAfter(d, func() { fired = append(fired, e.Now()) })
+				e.PostRunAfter(d, fn(func() { fired = append(fired, e.Now()) }))
 			} else {
-				events = append(events, e.After(d, func() { fired = append(fired, e.Now()) }))
+				events = append(events, Event{})
+				e.Arm(&events[len(events)-1], e.Now()+d, fn(func() { fired = append(fired, e.Now()) }))
 			}
 			if len(events) > 0 && r.Intn(3) == 0 {
-				if e.Cancel(events[r.Intn(len(events))]) {
+				if e.Cancel(&events[r.Intn(len(events))]) {
 					cancelled++
 				}
 			}
@@ -367,11 +376,11 @@ func TestRescheduleFiredEventAfterPosts(t *testing.T) {
 	// internal/cpu) must keep working with value entries in the queue.
 	e := NewEngine()
 	count := 0
-	var ev *Event
-	ev = e.At(5, func() { count++ })
-	e.Post(7, func() {
-		e.Reschedule(ev, 12, func() { count += 10 })
-	})
+	var ev Event
+	e.Arm(&ev, 5, fn(func() { count++ }))
+	e.PostRun(7, fn(func() {
+		e.Arm(&ev, 12, fn(func() { count += 10 }))
+	}))
 	e.Run(0)
 	if count != 11 {
 		t.Fatalf("count = %d, want 11", count)
@@ -387,9 +396,9 @@ func TestEngineRequestStop(t *testing.T) {
 	e := NewEngine()
 	var fired int
 	for i := Time(1); i <= 3*stopCheckInterval; i++ {
-		e.Post(i, func() { fired++ })
+		e.PostRun(i, fn(func() { fired++ }))
 	}
-	e.Post(3, func() { e.RequestStop() })
+	e.PostRun(3, fn(func() { e.RequestStop() }))
 	e.Run(0)
 	if !e.StopRequested() {
 		t.Error("StopRequested = false after RequestStop")
@@ -418,10 +427,10 @@ func TestEngineRequestStopLatencyBounded(t *testing.T) {
 	total := 10 * stopCheckInterval
 	var fired int
 	for i := 0; i < total; i++ {
-		e.Post(Time(i+1), func() { fired++ })
+		e.PostRun(Time(i+1), fn(func() { fired++ }))
 	}
 	stopAt := 2*stopCheckInterval + 17 // mid-batch, not on a boundary
-	e.Post(Time(stopAt), func() { e.RequestStop() })
+	e.PostRun(Time(stopAt), fn(func() { e.RequestStop() }))
 	e.Run(0)
 	if fired < stopAt {
 		t.Errorf("fired = %d, want at least %d (events before the stop)", fired, stopAt)
@@ -437,9 +446,9 @@ func TestEngineRequestStopConcurrent(t *testing.T) {
 	// event chain. Under -race this also proves RequestStop is the one
 	// engine method safe to call cross-goroutine.
 	e := NewEngine()
-	var chain func()
-	chain = func() { e.PostAfter(Millisecond, chain) }
-	e.PostAfter(Millisecond, chain)
+	var chain fn
+	chain = func() { e.PostRunAfter(Millisecond, chain) }
+	e.PostRunAfter(Millisecond, chain)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

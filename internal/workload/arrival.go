@@ -320,7 +320,7 @@ func (s *diurnalSource) Next(r *sim.Rand) (sim.Duration, string, bool) {
 		gap += d
 		s.now += d
 		phase := float64(s.now%s.sp.Period) / float64(s.sp.Period)
-		rate := s.sp.Trough + float64((s.sp.Peak-s.sp.Trough)*(1-math.Cos(2*math.Pi*phase))/2)
+		rate := s.sp.Trough + float64((s.sp.Peak-s.sp.Trough)*(1-sim.Cos(2*math.Pi*phase))/2)
 		if r.Float64()*s.sp.Peak <= rate {
 			return gap, "", true
 		}
